@@ -6,7 +6,7 @@ namespace cfir::branch {
 
 Gshare::Gshare(uint32_t entries, uint32_t history_bits) {
   assert(entries > 0 && (entries & (entries - 1)) == 0);
-  table_.assign(entries, 2);  // weakly taken
+  table_.assign(entries, kInitCounter);
   mask_ = entries - 1;
   history_mask_ = history_bits >= 64 ? ~uint64_t{0}
                                      : ((uint64_t{1} << history_bits) - 1);
@@ -53,16 +53,18 @@ uint64_t Gshare::debug_digest() const {
 
 void Gshare::serialize(util::ByteWriter& out) const {
   out.u32(static_cast<uint32_t>(table_.size()));
-  out.bytes(table_.data(), table_.size());
+  util::write_sparse_table(out, table_, kInitCounter,
+                           [](util::ByteWriter& o, uint8_t c) { o.u8(c); });
   out.u64(history_);
 }
 
 void Gshare::deserialize(util::ByteReader& in) {
   const uint32_t n = in.u32();
   if (n != table_.size()) {
-    throw std::runtime_error("Gshare: warm-state table size mismatch");
+    throw util::WarmGeometryError("Gshare: warm-state table size mismatch");
   }
-  in.bytes(table_.data(), table_.size());
+  util::read_sparse_table(in, table_, kInitCounter,
+                          [](util::ByteReader& i, uint8_t& c) { c = i.u8(); });
   history_ = in.u64() & history_mask_;
 }
 

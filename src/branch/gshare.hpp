@@ -53,6 +53,8 @@ class Gshare : public util::Warmable {
   }
 
  private:
+  static constexpr uint8_t kInitCounter = 2;  ///< weakly taken
+
   [[nodiscard]] uint32_t index(uint64_t pc, uint64_t history) const;
 
   std::vector<uint8_t> table_;  ///< 2-bit saturating counters

@@ -75,27 +75,29 @@ void MbsTable::serialize(util::ByteWriter& out) const {
   out.u32(sets_);
   out.u32(ways_);
   out.u64(stamp_);
-  for (const Entry& e : entries_) {
-    out.u64(e.tag);
-    out.u8(e.counter);
-    out.boolean(e.last_taken);
-    out.boolean(e.valid);
-    out.u64(e.lru);
-  }
+  util::write_sparse_table(out, entries_, Entry{},
+                           [](util::ByteWriter& o, const Entry& e) {
+                             o.u64(e.tag);
+                             o.u8(e.counter);
+                             o.boolean(e.last_taken);
+                             o.boolean(e.valid);
+                             o.u64(e.lru);
+                           });
 }
 
 void MbsTable::deserialize(util::ByteReader& in) {
   if (in.u32() != sets_ || in.u32() != ways_) {
-    throw std::runtime_error("MbsTable: warm-state geometry mismatch");
+    throw util::WarmGeometryError("MbsTable: warm-state geometry mismatch");
   }
   stamp_ = in.u64();
-  for (Entry& e : entries_) {
-    e.tag = in.u64();
-    e.counter = in.u8();
-    e.last_taken = in.boolean();
-    e.valid = in.boolean();
-    e.lru = in.u64();
-  }
+  util::read_sparse_table(in, entries_, Entry{},
+                          [](util::ByteReader& i, Entry& e) {
+                            e.tag = i.u64();
+                            e.counter = i.u8();
+                            e.last_taken = i.boolean();
+                            e.valid = i.boolean();
+                            e.lru = i.u64();
+                          });
 }
 
 uint64_t MbsTable::storage_bytes() const {

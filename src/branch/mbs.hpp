@@ -43,6 +43,8 @@ class MbsTable : public util::Warmable {
     bool last_taken = false;
     bool valid = false;
     uint64_t lru = 0;
+
+    bool operator==(const Entry&) const = default;
   };
   static constexpr uint8_t kMax = 15;
   static constexpr uint8_t kMin = 0;

@@ -104,33 +104,36 @@ void StridePredictor::serialize(util::ByteWriter& out) const {
   out.u32(sets_);
   out.u32(ways_);
   out.u64(stamp_);
-  for (const Entry& e : entries_) {
-    out.u64(e.tag);
-    out.boolean(e.valid);
-    out.u64(e.last_addr);
-    out.i64(e.stride);
-    out.u8(e.confidence);
-    out.boolean(e.s_flag);
-    out.u64(e.origin_branch_pc);
-    out.u64(e.lru);
-  }
+  util::write_sparse_table(out, entries_, Entry{},
+                           [](util::ByteWriter& o, const Entry& e) {
+                             o.u64(e.tag);
+                             o.boolean(e.valid);
+                             o.u64(e.last_addr);
+                             o.i64(e.stride);
+                             o.u8(e.confidence);
+                             o.boolean(e.s_flag);
+                             o.u64(e.origin_branch_pc);
+                             o.u64(e.lru);
+                           });
 }
 
 void StridePredictor::deserialize(util::ByteReader& in) {
   if (in.u32() != sets_ || in.u32() != ways_) {
-    throw std::runtime_error("StridePredictor: warm-state geometry mismatch");
+    throw util::WarmGeometryError(
+        "StridePredictor: warm-state geometry mismatch");
   }
   stamp_ = in.u64();
-  for (Entry& e : entries_) {
-    e.tag = in.u64();
-    e.valid = in.boolean();
-    e.last_addr = in.u64();
-    e.stride = in.i64();
-    e.confidence = in.u8();
-    e.s_flag = in.boolean();
-    e.origin_branch_pc = in.u64();
-    e.lru = in.u64();
-  }
+  util::read_sparse_table(in, entries_, Entry{},
+                          [](util::ByteReader& i, Entry& e) {
+                            e.tag = i.u64();
+                            e.valid = i.boolean();
+                            e.last_addr = i.u64();
+                            e.stride = i.i64();
+                            e.confidence = i.u8();
+                            e.s_flag = i.boolean();
+                            e.origin_branch_pc = i.u64();
+                            e.lru = i.u64();
+                          });
 }
 
 uint64_t StridePredictor::storage_bytes() const {

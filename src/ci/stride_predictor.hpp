@@ -60,6 +60,8 @@ class StridePredictor : public util::Warmable {
     bool s_flag = false;
     uint64_t origin_branch_pc = 0;
     uint64_t lru = 0;
+
+    bool operator==(const Entry&) const = default;
   };
   [[nodiscard]] const Entry* find(uint64_t pc) const;
   Entry* find_mut(uint64_t pc);

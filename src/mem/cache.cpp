@@ -150,26 +150,28 @@ void Cache::serialize(util::ByteWriter& out) const {
   out.u32(num_sets_);
   out.u32(config_.assoc);
   out.u64(use_stamp_);
-  for (const Line& l : lines_) {
-    out.u64(l.tag);
-    out.boolean(l.valid);
-    out.boolean(l.dirty);
-    out.u64(l.lru);
-  }
+  util::write_sparse_table(out, lines_, Line{},
+                           [](util::ByteWriter& o, const Line& l) {
+                             o.u64(l.tag);
+                             o.boolean(l.valid);
+                             o.boolean(l.dirty);
+                             o.u64(l.lru);
+                           });
 }
 
 void Cache::deserialize(util::ByteReader& in) {
   if (in.u32() != num_sets_ || in.u32() != config_.assoc) {
-    throw std::runtime_error("Cache: warm-state geometry mismatch (" +
-                             config_.name + ")");
+    throw util::WarmGeometryError("Cache: warm-state geometry mismatch (" +
+                                  config_.name + ")");
   }
   use_stamp_ = in.u64();
-  for (Line& l : lines_) {
-    l.tag = in.u64();
-    l.valid = in.boolean();
-    l.dirty = in.boolean();
-    l.lru = in.u64();
-  }
+  util::read_sparse_table(in, lines_, Line{},
+                          [](util::ByteReader& i, Line& l) {
+                            l.tag = i.u64();
+                            l.valid = i.boolean();
+                            l.dirty = i.boolean();
+                            l.lru = i.u64();
+                          });
   inflight_fills_.clear();
 }
 

@@ -80,6 +80,8 @@ class Cache : public util::Warmable {
     bool valid = false;
     bool dirty = false;
     uint64_t lru = 0;  ///< last-use stamp
+
+    bool operator==(const Line&) const = default;
   };
 
   CacheConfig config_;

@@ -404,7 +404,7 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
         }
         stats::SimStats warm_stats;
         if (interval.warmup > 0) {
-          obs::Span warm_span("warming", static_cast<uint64_t>(i));
+          obs::Span warmup_span("detail.warmup", static_cast<uint64_t>(i));
           warm_stats = sim->run(interval.warmup);
         }
         stats::SimStats& s = interval.stats[c];

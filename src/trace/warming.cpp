@@ -1,7 +1,9 @@
 #include "trace/warming.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "ci/mechanism.hpp"
 #include "obs/metrics.hpp"
@@ -10,14 +12,16 @@
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "trace/batch_reader.hpp"
+#include "trace/errors.hpp"
 #include "util/warmable.hpp"
 
 namespace cfir::trace {
 
 namespace {
-/// Blob header guarding against feeding a warm-state blob into a warmer
-/// built from a different configuration.
-constexpr uint32_t kWarmStateMagic = 0x314D5257;  // "WRM1"
+/// Warm-state blob magic (docs/trace-format.md "Warm-state blob"). Only
+/// the current version loads; "WRM1" (dense tables) and any other "WRM?"
+/// are rejected as stale artifacts to regenerate.
+constexpr char kWarmStateMagic[4] = {'W', 'R', 'M', '2'};
 
 /// Engine-path fan-out batch: one default trace block's worth of
 /// records, so the engine-fed and trace-fed pipelines see the same
@@ -267,7 +271,8 @@ void FunctionalWarmer::apply_to(sim::Simulator& sim) const {
 
 std::vector<uint8_t> FunctionalWarmer::serialize_state() const {
   util::ByteWriter out;
-  out.u32(kWarmStateMagic);
+  out.bytes(reinterpret_cast<const uint8_t*>(kWarmStateMagic),
+            sizeof(kWarmStateMagic));
   out.u8(static_cast<uint8_t>(policy_));
   out.u64(warmed_);
   out.u64(last_fetch_line_);
@@ -280,27 +285,46 @@ std::vector<uint8_t> FunctionalWarmer::serialize_state() const {
 }
 
 void FunctionalWarmer::deserialize_state(const std::vector<uint8_t>& blob) {
-  util::ByteReader in(blob);
-  if (in.u32() != kWarmStateMagic) {
-    throw std::runtime_error("FunctionalWarmer: bad warm-state magic");
+  constexpr size_t kPolicyAt = sizeof(kWarmStateMagic);
+  if (blob.size() <= kPolicyAt) {
+    throw CorruptFileError("FunctionalWarmer: truncated warm-state blob");
   }
-  if (in.u8() != static_cast<uint8_t>(policy_)) {
-    throw std::runtime_error("FunctionalWarmer: warm-state policy mismatch");
+  if (std::memcmp(blob.data(), kWarmStateMagic, 3) != 0) {
+    throw BadMagicError("FunctionalWarmer: not a warm-state blob");
   }
-  warmed_ = in.u64();
-  last_fetch_line_ = in.u64();
+  if (blob[3] != static_cast<uint8_t>(kWarmStateMagic[3])) {
+    throw VersionError(
+        "FunctionalWarmer: warm-state blob version 'WRM" +
+        std::string(1, static_cast<char>(blob[3])) +
+        "' is not the current 'WRM2' — re-run `trace_tool plan` to "
+        "regenerate the warm state");
+  }
+  if (blob[kPolicyAt] != static_cast<uint8_t>(policy_)) {
+    throw ConfigMismatchError("FunctionalWarmer: warm-state policy mismatch");
+  }
   // Drop any live engine: it sits at the pre-restore position, and the
   // next advance_to() must resume from warmed_ (ensure_engine fast-skips
   // the restored prefix).
   engine_.reset();
   engine_mem_.reset();
-  gshare_.deserialize(in);
-  mbs_.deserialize(in);
-  ras_.deserialize(in);
-  stride_.deserialize(in);
-  hier_.deserialize(in);
+  util::ByteReader in(blob.data() + kPolicyAt + 1, blob.size() - kPolicyAt - 1);
+  try {
+    warmed_ = in.u64();
+    last_fetch_line_ = in.u64();
+    gshare_.deserialize(in);
+    mbs_.deserialize(in);
+    ras_.deserialize(in);
+    stride_.deserialize(in);
+    hier_.deserialize(in);
+  } catch (const util::WarmGeometryError& e) {
+    throw ConfigMismatchError(std::string("FunctionalWarmer: ") + e.what());
+  } catch (const std::runtime_error& e) {
+    // ByteReader underflow or a sparse-table structure violation.
+    throw CorruptFileError(
+        std::string("FunctionalWarmer: corrupt warm-state blob: ") + e.what());
+  }
   if (!in.done()) {
-    throw std::runtime_error("FunctionalWarmer: trailing warm-state bytes");
+    throw CorruptFileError("FunctionalWarmer: trailing warm-state bytes");
   }
 }
 
