@@ -113,10 +113,8 @@ int usage() {
       "                         warming gaps from the recorded trace —\n"
       "                         a CFIRTRC2 file is read per block index,\n"
       "                         so a shard decodes only its intervals'\n"
-      "                         blocks)]\n"
-      "                         [--warm-jobs=W (pipelined warm-capture\n"
-      "                         parallelism: 0 auto, 1 sequential; blobs\n"
-      "                         and stats bit-identical at any W)]\n"
+      "                         blocks; one shared pass warms the whole\n"
+      "                         config grid)]\n"
       "                         [--scrub-wall (zero wall-clock telemetry\n"
       "                         in the blob for byte-diffable output)]\n"
       "       trace_tool merge  <manifest> <shard-file>... [--per-phase]\n"
@@ -129,7 +127,6 @@ int usage() {
       "     warming passes; identical output bytes, cached is ~3-4x faster),\n"
       "     CFIR_TRACE_FORMAT=v1|v2 (trace writer format, default v2 —\n"
       "     columnar seekable CFIRTRC2; v1 is the row-oriented oracle),\n"
-      "     CFIR_WARM_JOBS (pipelined warming cap; --warm-jobs overrides),\n"
       "     CFIR_STRICT_BLOBS (reject legacy footer-less blobs),\n"
       "     CFIR_TRACE=<file> (same as --trace-out),\n"
       "     CFIR_PROGRESS=1|stderr (.cfirprog heartbeats)\n"
@@ -560,14 +557,11 @@ int cmd_run_shard(int argc, char** argv) {
   std::string warm_trace;
   trace::ShardSelection shard;
   int jobs = 0;
-  int warm_jobs = -1;  // -1 = CFIR_WARM_JOBS / auto
   bool scrub_wall = false;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--trace=", 0) == 0) {
       warm_trace = arg.substr(8);
-    } else if (arg.rfind("--warm-jobs=", 0) == 0) {
-      warm_jobs = static_cast<int>(std::strtol(arg.c_str() + 12, nullptr, 10));
     } else if (arg == "--scrub-wall") {
       scrub_wall = true;
     } else if (arg.rfind("--shard=", 0) == 0) {
@@ -634,7 +628,7 @@ int cmd_run_shard(int argc, char** argv) {
     const std::vector<trace::ConfigBinding> bindings =
         trace::bindings_from_manifest(manifest, manifest_path, shard);
     result = trace::run_shard(bindings, program, plan, shard, jobs,
-                              manifest.plan_hash, warm_trace, warm_jobs);
+                              manifest.plan_hash, warm_trace);
   } else {
     // v1: the config is executor-supplied. Refuse to execute under a
     // config the plan was not made for — a shard simulated under the
@@ -648,13 +642,13 @@ int cmd_run_shard(int argc, char** argv) {
     binding.config_hash = manifest.plan_hash;
     result = trace::run_shard(std::vector<trace::ConfigBinding>{binding},
                               program, plan, shard, jobs, manifest.plan_hash,
-                              warm_trace, warm_jobs);
+                              warm_trace);
   }
   if (scrub_wall) {
     // Zero the host wall-clock telemetry riding in the blob (the only
     // nondeterministic fields), so two runs of the same shard byte-diff
-    // clean — the CI determinism smoke compares --warm-jobs=1 against
-    // --warm-jobs=8 this way.
+    // clean — the CI smoke compares a sidecar-warmed shard against a
+    // trace-warmed one this way.
     result.warm_wall_us = 0;
     for (auto& iv : result.intervals) {
       iv.wall_us.assign(result.configs.size(), 0);

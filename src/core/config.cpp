@@ -66,15 +66,14 @@ CoreConfig CoreConfig::deserialize(util::ByteReader& in) {
   return cfg;
 }
 
-uint64_t CoreConfig::warm_digest() const {
-  // Exactly the fields FunctionalWarmer state depends on: the policy byte
-  // stamped into the blob, predictor geometry, and cache geometry (tags and
-  // LRU depend on size/assoc/line_bytes; hit latencies are timing-only and
-  // never reach warm state). Fields listed in component order of
+uint64_t CoreConfig::warm_geometry_digest() const {
+  // Exactly the geometry FunctionalWarmer state depends on: predictor
+  // shapes and cache geometry (tags and LRU depend on size/assoc/
+  // line_bytes; hit latencies are timing-only and never reach warm
+  // state). Fields listed in component order of
   // FunctionalWarmer::serialize_state so a new warm-relevant knob has an
   // obvious place to land.
   util::Digest d;
-  d.u8(static_cast<uint8_t>(policy));
   d.u32(gshare_entries);
   d.u32(gshare_history_bits);
   d.u32(mbs_sets);

@@ -103,15 +103,15 @@ struct CoreConfig {
   /// being silently averaged (trace/manifest.hpp).
   [[nodiscard]] uint64_t digest() const;
 
-  /// Digest over only the fields functional-warm state depends on (policy,
-  /// predictor geometry, cache geometry — not latencies, widths or
-  /// register counts). Config points with equal warm_digest() train
-  /// byte-identical warm blobs from the same committed prefix, so sweeps
-  /// that vary ports/regs/widths share one `.cfirwarm` sidecar per
-  /// interval instead of one per config (trace/sampling.cpp
-  /// bind_configs, trace/manifest.cpp write_manifest). Deliberately NOT
-  /// part of CFIR_CORECONFIG_FIELDS: it is derived, not configuration.
-  [[nodiscard]] uint64_t warm_digest() const;
+  /// Digest over only the geometry functional-warm state depends on
+  /// (predictor and cache shapes — not policy, latencies, widths or
+  /// register counts). Config points with equal digests train
+  /// byte-identical caches, gshare, MBS and RAS from the same committed
+  /// prefix, and their stride predictors differ only by policy, so
+  /// trace::capture_warm_states_grid trains each distinct geometry once
+  /// for the whole grid. Deliberately NOT part of CFIR_CORECONFIG_FIELDS:
+  /// it is derived, not configuration.
+  [[nodiscard]] uint64_t warm_geometry_digest() const;
 
   /// Byte codec over the same field list and order as digest(): a config
   /// embedded in a CFIRMAN2 manifest rebuilds on any machine without that

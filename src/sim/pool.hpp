@@ -1,10 +1,9 @@
 // Reusable work-queue thread pool behind sim::parallel_for and the
-// block-parallel streaming paths (trace decode waves, the warming
-// pipeline). parallel_for used to spawn a fresh set of std::threads per
-// call, which is fine for one coarse fan-out but charges a thread-spawn
-// per wave to loops like bbv_from_trace's 32-block decode waves and the
-// warming pipeline's per-batch config fan-out. ThreadPool keeps one set
-// of workers alive for the process and hands them batches instead.
+// block-parallel trace decode waves. parallel_for used to spawn a fresh
+// set of std::threads per call, which is fine for one coarse fan-out but
+// charges a thread-spawn per wave to loops like bbv_from_trace's 32-block
+// decode waves. ThreadPool keeps one set of workers alive for the process
+// and hands them batches instead.
 //
 // Batch semantics are exactly parallel_for's: indices 0..n-1 are claimed
 // atomically in order, every claimed index runs `fn` exactly once, the
@@ -16,8 +15,7 @@
 // own batch) deadlock-free: the innermost submitter always makes
 // progress on its own indices even when every pool worker is busy.
 // run() may be called concurrently from any number of threads — open
-// batches share the workers FIFO — which is what lets the warming
-// pipeline's decode prefetch and per-config fan-out overlap on one pool.
+// batches share the workers FIFO.
 #pragma once
 
 #include <condition_variable>
@@ -52,8 +50,8 @@ class ThreadPool {
   [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
 
   /// The process-wide memoized pool (sized from CFIR_THREADS / hardware
-  /// concurrency at first use). parallel_for and the streaming decode /
-  /// warming paths all share it, so total pool threads stay bounded by
+  /// concurrency at first use). parallel_for and the streaming decode
+  /// paths share it, so total pool threads stay bounded by
   /// one machine-sized set however many fan-outs are in flight.
   static ThreadPool& shared();
 

@@ -50,10 +50,11 @@ std::string hex16(uint64_t v) {
   return s;
 }
 
-/// Content-keyed sidecar name: config points whose warm-relevant geometry
-/// coincides (core::CoreConfig::warm_digest) train byte-identical blobs,
-/// and keying the file by blob content lets them all reference ONE sidecar
-/// (iv.warm_files stores the name per config; readers never parse it).
+/// Content-keyed sidecar name: config points whose policy and warm
+/// geometry coincide (core::CoreConfig::warm_geometry_digest) train
+/// byte-identical blobs, and keying the file by blob content lets them all
+/// reference ONE sidecar (iv.warm_files stores the name per config;
+/// readers never parse it).
 std::string warm_sidecar_content_name(const std::string& stem, size_t i,
                                       uint64_t content_digest) {
   return stem + ".ck" + std::to_string(i) + ".w" + hex16(content_digest) +
@@ -390,11 +391,12 @@ ShardManifest write_manifest(const IntervalPlan& plan,
     iv.checkpoint_file = basename_of(ck_path);
     iv.warm_files.resize(bindings.size());
     // Dedup by blob content: a register/port sweep's configs share warm
-    // geometry (bind_configs trains each distinct warm_digest once and
-    // copies the blobs), so N grid columns typically collapse to a handful
-    // of sidecar files. The digest only nominates a sharing candidate —
-    // bytes are compared before reuse, so a hash collision degrades to a
-    // per-config file instead of serving the wrong warm state.
+    // geometry (bind_configs trains each distinct geometry once and gives
+    // its same-policy points identical blobs), so N grid columns
+    // typically collapse to a handful of sidecar files. The digest only
+    // nominates a sharing candidate — bytes are compared before reuse, so
+    // a hash collision degrades to a per-config file instead of serving
+    // the wrong warm state.
     std::unordered_map<uint64_t, std::pair<const std::vector<uint8_t>*,
                                            std::string>> written;
     for (size_t c = 0; c < bindings.size(); ++c) {

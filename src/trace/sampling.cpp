@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "isa/engine.hpp"
 #include "obs/tracer.hpp"
@@ -185,32 +184,15 @@ std::vector<ConfigBinding> bind_configs(
   for (const Checkpoint& ck : plan.checkpoints) {
     targets.push_back(ck.executed);
   }
-  // Warm state depends only on warm_digest()-covered geometry (policy,
-  // predictor and cache shapes), so a ports/regs/width sweep trains each
-  // distinct geometry ONCE and the rest of its group shares the blobs —
-  // they are byte-identical by construction, and write_manifest collapses
-  // the shared blobs to one sidecar file per interval.
-  std::vector<size_t> group_of(points.size());
-  std::vector<size_t> rep_point;  // first point index of each group
-  std::unordered_map<uint64_t, size_t> group_by_digest;
-  for (size_t c = 0; c < points.size(); ++c) {
-    const uint64_t wd = points[c].second.warm_digest();
-    const auto [it, fresh] = group_by_digest.emplace(wd, rep_point.size());
-    if (fresh) rep_point.push_back(c);
-    group_of[c] = it->second;
-  }
-  std::vector<core::CoreConfig> unique_configs;
-  unique_configs.reserve(rep_point.size());
-  for (const size_t r : rep_point) unique_configs.push_back(points[r].second);
+  // One shared pass for the whole grid; capture_warm_states_grid trains
+  // each warm geometry once and splices every config's blobs from it.
+  std::vector<core::CoreConfig> configs;
+  configs.reserve(points.size());
+  for (const auto& point : points) configs.push_back(point.second);
   std::vector<std::vector<std::vector<uint8_t>>> blobs =
-      capture_warm_states_grid(unique_configs, program, targets);
+      capture_warm_states_grid(configs, program, targets);
   for (size_t c = 0; c < bindings.size(); ++c) {
-    const size_t g = group_of[c];
-    if (rep_point[g] == c) {
-      bindings[c].warm = std::move(blobs[g]);
-    } else {
-      bindings[c].warm = bindings[rep_point[g]].warm;  // rep comes first
-    }
+    bindings[c].warm = std::move(blobs[c]);
   }
   return bindings;
 }

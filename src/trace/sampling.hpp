@@ -174,10 +174,11 @@ struct ConfigBinding {
   std::vector<std::vector<uint8_t>> warm;
 };
 
-/// Binds every (name, config) point to `plan`: one fan-out streaming pass
+/// Binds every (name, config) point to `plan`: one shared streaming pass
 /// (capture_warm_states_grid) captures all configs' per-interval warm
 /// state when the plan's warm mode has a functional prefix — O(prefix)
-/// architectural execution for the whole grid, not O(prefix × configs).
+/// architectural execution and one trainer per warm geometry for the
+/// whole grid, not O(prefix × configs).
 [[nodiscard]] std::vector<ConfigBinding> bind_configs(
     const IntervalPlan& plan,
     const std::vector<std::pair<std::string, core::CoreConfig>>& points,

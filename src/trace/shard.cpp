@@ -6,7 +6,6 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
@@ -223,7 +222,7 @@ struct ShardTelemetry {
 ShardResult run_shard(const std::vector<ConfigBinding>& configs,
                       const isa::Program& program, const IntervalPlan& plan,
                       ShardSelection shard, int threads, uint64_t plan_hash,
-                      const std::string& warm_trace, int warm_jobs) {
+                      const std::string& warm_trace, int /*warm_jobs*/) {
   const size_t k = plan.boundaries.size();
   if (plan.lengths.size() != k || plan.weights.size() != k ||
       plan.checkpoints.size() != k) {
@@ -293,12 +292,12 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
   // blobs (bind_configs / CFIRMAN2 sidecars), then warm state attached to
   // the plan's checkpoints (CFIRCKP2 / v1 manifest round trip — geometry
   // checked on restore), and stream the committed prefixes of THIS shard's
-  // intervals for whatever is left — ONE pass fanning the records out to
-  // every remaining config's warmer, because the committed stream is
-  // config-independent. A subset capture matches the full one bit for bit
-  // (warm state at instruction N does not depend on which other snapshots
-  // the pass takes). `warmed_insts` records the coverage once, however
-  // many configs shared the stream.
+  // intervals for whatever is left — ONE shared pass for all remaining
+  // configs (capture_warm_states_grid trains each warm geometry once),
+  // because the committed stream is config-independent. A subset capture
+  // matches the full one bit for bit (warm state at instruction N does not
+  // depend on which other snapshots the pass takes). `warmed_insts`
+  // records the coverage once, however many configs shared the stream.
   const bool functional = warm_mode_has_functional_prefix(plan.warm_mode);
   std::vector<int> capture_slot(nc, -1);  // index into `captured`
   std::vector<std::vector<std::vector<uint8_t>>> captured;  // [slot][j]
@@ -308,18 +307,10 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
   }
   if (functional) {
     std::vector<core::CoreConfig> need;
-    // Configs with coinciding warm-relevant geometry (warm_digest) train
-    // byte-identical warm state from the same committed stream, so they
-    // share one capture slot — the pass then warms each distinct geometry
-    // once, mirroring the bind_configs dedup.
-    std::unordered_map<uint64_t, int> slot_by_digest;
     for (size_t c = 0; c < nc; ++c) {
       if (configs[c].warm.empty() && !checkpoints_warm) {
-        const uint64_t wd = configs[c].config.warm_digest();
-        const auto [it, fresh] =
-            slot_by_digest.emplace(wd, static_cast<int>(need.size()));
-        if (fresh) need.push_back(configs[c].config);
-        capture_slot[c] = it->second;
+        capture_slot[c] = static_cast<int>(need.size());
+        need.push_back(configs[c].config);
       }
     }
     if (!need.empty()) {
@@ -339,10 +330,9 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
         // intervals the shard owns — and the blobs still match the
         // engine pass bit for bit (same record stream).
         TraceReader reader(warm_trace);
-        captured =
-            capture_warm_states_grid(need, program, reader, targets, warm_jobs);
+        captured = capture_warm_states_grid(need, program, reader, targets);
       } else {
-        captured = capture_warm_states_grid(need, program, targets, warm_jobs);
+        captured = capture_warm_states_grid(need, program, targets);
       }
       result.warm_wall_us = warm_clock.elapsed_us();
       obs::Registry::instance()

@@ -8,8 +8,8 @@
 // executes that subset for a whole grid of ConfigBindings — the plan's
 // intervals and checkpoints are config-independent, so one shard simulates
 // every bound config per interval, streaming each functional-warming gap
-// ONCE and fanning the committed records out to every config's Warmable
-// components (warming cost O(gap), not O(gap × configs)). The result is a
+// ONCE and training each warm geometry once for the whole grid (warming
+// cost O(gap), not O(gap × configs)). The result is a
 // ShardResult: per-interval stats with one column per config, plus
 // everything the merge layer needs to validate and fold them. Results
 // serialize as CFIRSHD2 blobs, so N workers on N machines each run one
@@ -139,18 +139,17 @@ struct ShardResult {
 /// comes, per config, from the binding's per-interval blobs
 /// (bind_configs / CFIRMAN2 warm sidecars), else from warm state attached
 /// to the plan's checkpoints (CFIRCKP2 — single-config plans only), else
-/// from ONE shared streaming pass fanning the committed gap records out to
-/// all remaining configs' warmers. `plan_hash` is stamped into the result
-/// for merge-time validation; pass the manifest's hash when executing a
-/// manifest-derived plan. When `warm_trace` names a recorded trace of
-/// `program`, that shared capture pass streams the stored records instead
-/// of re-executing — on a CFIRTRC2 trace the shard then decodes only the
+/// from ONE shared capture pass for all remaining configs
+/// (capture_warm_states_grid: one trainer per warm geometry, stride lanes
+/// per policy). `plan_hash` is stamped into the result for merge-time
+/// validation; pass the manifest's hash when executing a manifest-derived
+/// plan. When `warm_trace` names a recorded trace of `program`, that
+/// shared capture pass streams the stored records instead of
+/// re-executing — on a CFIRTRC2 trace the shard then decodes only the
 /// blocks covering its own intervals + warming gaps (O(intervals), not
 /// O(prefix); observable via the `trace.blocks_read` counter), with blobs
-/// bit-identical to the engine pass. `warm_jobs` caps the pipelined
-/// warm-capture path (trace/warming.hpp capture_warm_states_grid):
-/// -1 reads CFIR_WARM_JOBS, 0 = auto, 1 = the sequential reference path
-/// — blobs, stats and merged grids are bit-identical at every setting.
+/// bit-identical to the engine pass. The trailing int is unused; it stays
+/// so existing callers that pass it keep compiling.
 [[nodiscard]] ShardResult run_shard(const std::vector<ConfigBinding>& configs,
                                     const isa::Program& program,
                                     const IntervalPlan& plan,
@@ -158,7 +157,7 @@ struct ShardResult {
                                     int threads = 0,
                                     uint64_t plan_hash = 0,
                                     const std::string& warm_trace = {},
-                                    int warm_jobs = -1);
+                                    int /*unused*/ = -1);
 
 /// Single-config convenience: one binding named by the config's label,
 /// with `config_hash` (when non-zero) stamped as both the plan hash and

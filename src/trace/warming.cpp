@@ -2,16 +2,16 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 
 #include "ci/mechanism.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
-#include "sim/pool.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
-#include "trace/batch_reader.hpp"
 #include "trace/errors.hpp"
 #include "util/warmable.hpp"
 
@@ -23,17 +23,33 @@ namespace {
 /// are rejected as stale artifacts to regenerate.
 constexpr char kWarmStateMagic[4] = {'W', 'R', 'M', '2'};
 
-/// Engine-path fan-out batch: one default trace block's worth of
-/// records, so the engine-fed and trace-fed pipelines see the same
-/// batch granularity.
-constexpr size_t kEngineBatch = kTraceBlockLen;
+[[nodiscard]] bool trains_stride(core::Policy policy) {
+  return policy == core::Policy::kCi || policy == core::Policy::kVect;
+}
 
-/// jobs < 0 → CFIR_WARM_JOBS; <= 0 → auto (the shared pool's size, i.e.
-/// CFIR_THREADS / hardware concurrency); 1 = sequential reference path.
-int resolve_warm_jobs(int jobs) {
-  if (jobs < 0) jobs = sim::env_warm_jobs();
-  if (jobs <= 0) jobs = sim::ThreadPool::shared().size();
-  return std::max(jobs, 1);
+/// Commit-path stride-predictor training on one committed load — the only
+/// policy-dependent part of functional warming (paper section 3.1).
+void train_stride(ci::StridePredictor& stride, core::Policy policy,
+                  uint64_t pc, uint64_t addr) {
+  if (!trains_stride(policy)) return;
+  stride.train(pc, addr);
+  if (policy == core::Policy::kVect) {
+    // The vect policy's commit rule (ci/mechanism.cpp on_commit): every
+    // confident, non-zero-stride load is selected. Purely commit-driven,
+    // so functional warming reproduces it exactly. The ci policy's S flags
+    // are episode-driven (speculative state a commit stream cannot derive)
+    // and deliberately stay cold: pre-selecting every strided load was
+    // tried and over-drives the replica engine in short windows (twolf
+    // IPC +45%), a worse bias than the cold-selection ramp it removes.
+    const ci::StridePredictor::Info sp = stride.lookup(pc);
+    if (sp.confident && !sp.selected && sp.stride != 0) stride.select(pc, 0);
+  }
+}
+
+std::vector<uint8_t> serialize_stride(const ci::StridePredictor& stride) {
+  util::ByteWriter out;
+  stride.serialize(out);
+  return out.take();
 }
 
 void check_targets_sorted(const std::vector<uint64_t>& targets) {
@@ -50,77 +66,6 @@ void check_targets_sorted(const std::vector<uint64_t>& targets) {
       "capture_warm_states_grid: trace ends at " + std::to_string(pos) +
       " records, warm target " + std::to_string(target) + " (interval " +
       std::to_string(index) + " of " + std::to_string(n_targets) + ")");
-}
-
-std::vector<std::unique_ptr<FunctionalWarmer>> make_warmers(
-    const std::vector<core::CoreConfig>& configs,
-    const isa::Program& program) {
-  std::vector<std::unique_ptr<FunctionalWarmer>> warmers;
-  warmers.reserve(configs.size());
-  for (const core::CoreConfig& config : configs) {
-    warmers.push_back(std::make_unique<FunctionalWarmer>(config, program));
-  }
-  return warmers;
-}
-
-/// Per-config fan-out of one decoded batch: one task per config, each
-/// walking the identical record span in stream order on its own (single
-/// threaded) warmer and serializing snapshot blobs for the targets that
-/// land inside the span — so serialization happens off the decode
-/// thread, inside the task that owns the warmer. Targets are consumed
-/// when `pos` reaches them BEFORE the record at `pos` trains, exactly
-/// like the sequential loop; a target equal to the batch's end position
-/// is deliberately left to the next batch (or the caller's
-/// finalization), keeping the consumption point unambiguous. Returns
-/// the target index the caller should resume from.
-size_t feed_batch_grid(std::vector<std::unique_ptr<FunctionalWarmer>>& warmers,
-                       const std::vector<std::vector<TraceRecord>>& blocks,
-                       uint64_t first_record, size_t records,
-                       const std::vector<uint64_t>& targets, size_t ti,
-                       std::vector<std::vector<std::vector<uint8_t>>>& out,
-                       int jobs) {
-  obs::Registry& reg = obs::Registry::instance();
-  const obs::Stopwatch feed_clock;
-  const size_t nt = targets.size();
-  sim::ThreadPool::shared().run(
-      warmers.size(),
-      [&](size_t c) {
-        FunctionalWarmer& warmer = *warmers[c];
-        size_t t = ti;
-        uint64_t pos = first_record;
-        for (const auto& block : blocks) {
-          for (const TraceRecord& rec : block) {
-            while (t < nt && targets[t] == pos) {
-              out[c][t++] = warmer.serialize_state();
-            }
-            warmer.on_record(rec);
-            ++pos;
-          }
-        }
-      },
-      jobs - 1);
-  reg.counter("warming.feed_us").add(feed_clock.elapsed_us());
-  reg.counter("warming.batches").add(1);
-  const uint64_t end = first_record + records;
-  while (ti < nt && targets[ti] < end) ++ti;
-  return ti;
-}
-
-/// Snapshots targets [ti, nt) — all sitting exactly at the current
-/// stream position — in parallel across configs.
-void snapshot_tail_grid(std::vector<std::unique_ptr<FunctionalWarmer>>& warmers,
-                        const std::vector<uint64_t>& targets, size_t ti,
-                        std::vector<std::vector<std::vector<uint8_t>>>& out,
-                        int jobs) {
-  if (ti >= targets.size()) return;
-  sim::ThreadPool::shared().run(
-      warmers.size(),
-      [&](size_t c) {
-        for (size_t t = ti; t < targets.size(); ++t) {
-          out[c][t] = warmers[c]->serialize_state();
-        }
-      },
-      jobs - 1);
 }
 }  // namespace
 
@@ -172,23 +117,7 @@ void FunctionalWarmer::on_record(const TraceRecord& rec) {
       break;
     case RecordKind::kLoad:
       hier_.warm_data(rec.addr, /*is_write=*/false);
-      if (policy_ == core::Policy::kCi || policy_ == core::Policy::kVect) {
-        stride_.train(rec.pc, rec.addr);
-        if (policy_ == core::Policy::kVect) {
-          // The vect policy's commit rule (ci/mechanism.cpp on_commit):
-          // every confident, non-zero-stride load is selected. Purely
-          // commit-driven, so functional warming reproduces it exactly.
-          // The ci policy's S flags are episode-driven (speculative state
-          // a commit stream cannot derive) and deliberately stay cold:
-          // pre-selecting every strided load was tried and over-drives the
-          // replica engine in short windows (twolf IPC +45%), a worse bias
-          // than the cold-selection ramp it removes.
-          const ci::StridePredictor::Info sp = stride_.lookup(rec.pc);
-          if (sp.confident && !sp.selected && sp.stride != 0) {
-            stride_.select(rec.pc, 0);
-          }
-        }
-      }
+      train_stride(stride_, policy_, rec.pc, rec.addr);
       break;
     case RecordKind::kStore:
       hier_.warm_data(rec.addr, /*is_write=*/true);
@@ -270,18 +199,33 @@ void FunctionalWarmer::apply_to(sim::Simulator& sim) const {
 }
 
 std::vector<uint8_t> FunctionalWarmer::serialize_state() const {
-  util::ByteWriter out;
-  out.bytes(reinterpret_cast<const uint8_t*>(kWarmStateMagic),
-            sizeof(kWarmStateMagic));
-  out.u8(static_cast<uint8_t>(policy_));
-  out.u64(warmed_);
-  out.u64(last_fetch_line_);
-  gshare_.serialize(out);
-  mbs_.serialize(out);
-  ras_.serialize(out);
-  stride_.serialize(out);
-  hier_.serialize(out);
-  return out.take();
+  return splice_state(policy_, serialize_shared(), serialize_stride(stride_));
+}
+
+FunctionalWarmer::SharedState FunctionalWarmer::serialize_shared() const {
+  util::ByteWriter head;
+  head.u64(warmed_);
+  head.u64(last_fetch_line_);
+  gshare_.serialize(head);
+  mbs_.serialize(head);
+  ras_.serialize(head);
+  util::ByteWriter tail;
+  hier_.serialize(tail);
+  return {head.take(), tail.take()};
+}
+
+std::vector<uint8_t> FunctionalWarmer::splice_state(
+    core::Policy policy, const SharedState& shared,
+    const std::vector<uint8_t>& stride) {
+  std::vector<uint8_t> blob(sizeof(kWarmStateMagic) + 1 + shared.head.size() +
+                            stride.size() + shared.tail.size());
+  auto out = std::copy(std::begin(kWarmStateMagic), std::end(kWarmStateMagic),
+                       blob.begin());
+  *out++ = static_cast<uint8_t>(policy);
+  out = std::copy(shared.head.begin(), shared.head.end(), out);
+  out = std::copy(stride.begin(), stride.end(), out);
+  std::copy(shared.tail.begin(), shared.tail.end(), out);
+  return blob;
 }
 
 void FunctionalWarmer::deserialize_state(const std::vector<uint8_t>& blob) {
@@ -352,197 +296,172 @@ std::vector<std::vector<uint8_t>> capture_warm_states(
 }
 
 namespace {
-/// Sequential engine-fed grid capture: the pre-pipeline reference path
-/// (jobs == 1), kept verbatim as the oracle the pipelined path is
-/// differential-tested against.
-std::vector<std::vector<std::vector<uint8_t>>> capture_grid_engine_sequential(
-    const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    const std::vector<uint64_t>& targets) {
-  std::vector<std::unique_ptr<FunctionalWarmer>> warmers =
-      make_warmers(configs, program);
-
-  // One functional-engine pass; the sink delivers the same TraceRecord
-  // stream FunctionalWarmer::advance_to feeds itself, so the fanned-out
-  // blobs match solo captures bit for bit.
-  mem::MainMemory memory;
-  isa::load_data_image(program, memory);
-  isa::FunctionalEngine engine(program, memory);
-  engine.set_sink([&](uint64_t, const isa::StepEvent* ev, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      const TraceRecord rec = to_trace_record(ev[i]);
-      for (auto& warmer : warmers) warmer->on_record(rec);
-    }
-  });
-
-  std::vector<std::vector<std::vector<uint8_t>>> out(configs.size());
-  for (auto& per_config : out) per_config.reserve(targets.size());
-  for (const uint64_t target : targets) {
-    engine.run_to(target);
-    for (size_t c = 0; c < warmers.size(); ++c) {
-      out[c].push_back(warmers[c]->serialize_state());
-    }
-  }
-  // The streamed prefix is counted once however many configs fanned out —
-  // the same convention ShardResult::warmed_insts uses.
-  obs::Registry::instance().counter("warming.insts").add(engine.executed());
-  return out;
-}
-
-/// Pipelined engine-fed grid capture: the engine streams block-sized
-/// record batches into a buffer (an engine can't decode ahead of itself,
-/// so this is the documented sequential-decode fallback), then each
-/// batch trains all configs in parallel via feed_batch_grid. A program
-/// that halts before the last target snapshots the remaining targets at
-/// its final state, exactly like the sequential engine path.
-std::vector<std::vector<std::vector<uint8_t>>> capture_grid_engine_pipelined(
-    const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    const std::vector<uint64_t>& targets, int jobs) {
-  std::vector<std::unique_ptr<FunctionalWarmer>> warmers =
-      make_warmers(configs, program);
-  std::vector<std::vector<std::vector<uint8_t>>> out(
-      configs.size(), std::vector<std::vector<uint8_t>>(targets.size()));
-
-  mem::MainMemory memory;
-  isa::load_data_image(program, memory);
-  isa::FunctionalEngine engine(program, memory);
-  // One persistent single-block buffer: the sink fills blocks[0], the
-  // fan-out reads it, clear() keeps the capacity across batches.
-  std::vector<std::vector<TraceRecord>> blocks(1);
-  std::vector<TraceRecord>& batch = blocks.front();
-  engine.set_sink([&](uint64_t, const isa::StepEvent* ev, size_t n) {
-    for (size_t i = 0; i < n; ++i) batch.push_back(to_trace_record(ev[i]));
-  });
-
-  obs::Registry& reg = obs::Registry::instance();
-  const uint64_t limit = targets.empty() ? 0 : targets.back();
-  uint64_t pos = 0;
-  size_t ti = 0;
-  while (pos < limit) {
-    batch.clear();
-    const obs::Stopwatch decode_clock;
-    engine.run_to(std::min(limit, pos + kEngineBatch));
-    reg.counter("warming.decode_wait_us").add(decode_clock.elapsed_us());
-    if (batch.empty()) break;  // program halted before the last target
-    const size_t records = batch.size();
-    ti = feed_batch_grid(warmers, blocks, pos, records, targets, ti, out,
-                         jobs);
-    pos += records;
-  }
-  snapshot_tail_grid(warmers, targets, ti, out, jobs);
-  reg.counter("warming.insts").add(pos);
-  return out;
-}
-
-/// Sequential trace-fed grid capture (jobs == 1 oracle).
-std::vector<std::vector<std::vector<uint8_t>>> capture_grid_trace_sequential(
-    const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    TraceReader& reader, const std::vector<uint64_t>& targets) {
-  std::vector<std::unique_ptr<FunctionalWarmer>> warmers =
-      make_warmers(configs, program);
-
-  // The stored records ARE the engine's event stream (the recorder used
-  // the same sink), so fanning them out trains byte-identical state — but
-  // a CFIRTRC2 reader only decodes the blocks covering [0, last target).
-  std::vector<std::vector<std::vector<uint8_t>>> out(configs.size());
-  for (auto& per_config : out) per_config.reserve(targets.size());
-  reader.seek_to(0);
-  uint64_t pos = 0;
-  TraceRecord rec;
-  for (size_t t = 0; t < targets.size(); ++t) {
-    const uint64_t target = targets[t];
-    while (pos < target) {
-      if (!reader.next(rec)) {
-        throw_trace_truncated(pos, target, t, targets.size());
+/// Shared grid training (docs/sampling.md "Shared grid warming"): configs
+/// whose warm geometry coincides share ONE commit-path warmer, and each
+/// stride-training policy among them gets one stride-predictor lane —
+/// the stride predictor is the only warm state that depends on policy.
+class GridWarmer {
+ public:
+  GridWarmer(const std::vector<core::CoreConfig>& configs,
+             const isa::Program& program)
+      : out_(configs.size()) {
+    std::unordered_map<uint64_t, size_t> group_by_geometry;
+    for (size_t c = 0; c < configs.size(); ++c) {
+      const core::CoreConfig& config = configs[c];
+      const auto [it, fresh] = group_by_geometry.emplace(
+          config.warm_geometry_digest(), groups_.size());
+      if (fresh) {
+        // A policy that trains no stride lane makes the warmer purely
+        // commit-path; its stride predictor stays default-constructed.
+        core::CoreConfig commit_path = config;
+        commit_path.policy = core::Policy::kNone;
+        groups_.push_back(std::make_unique<Group>(commit_path, program));
       }
-      for (auto& warmer : warmers) warmer->on_record(rec);
-      ++pos;
+      Group& group = *groups_[it->second];
+      Member member{c, config.policy, -1};
+      if (trains_stride(config.policy)) {
+        size_t lane = 0;
+        while (lane < group.lanes.size() &&
+               group.lanes[lane].policy != config.policy) {
+          ++lane;
+        }
+        if (lane == group.lanes.size()) {
+          group.lanes.push_back({config.policy,
+                                 ci::StridePredictor(config.stride_sets,
+                                                     config.stride_ways)});
+        }
+        member.lane = static_cast<int>(lane);
+      }
+      group.members.push_back(member);
     }
-    for (size_t c = 0; c < warmers.size(); ++c) {
-      out[c].push_back(warmers[c]->serialize_state());
+    obs::Registry& reg = obs::Registry::instance();
+    reg.counter("warming.trainers").add(groups_.size());
+    for (const auto& group : groups_) {
+      reg.counter("warming.stride_lanes").add(group->lanes.size());
     }
   }
-  obs::Registry::instance().counter("warming.insts").add(pos);
-  return out;
-}
 
-/// Pipelined trace-fed grid capture: BlockBatchReader wave-decodes
-/// upcoming blocks concurrently with the per-config fan-out (double
-/// buffered), so decode never sits on the warmers' critical path.
-std::vector<std::vector<std::vector<uint8_t>>> capture_grid_trace_pipelined(
+  void on_record(const TraceRecord& rec) {
+    for (const auto& group : groups_) {
+      group->warmer.on_record(rec);
+      if (rec.kind != RecordKind::kLoad) continue;
+      for (Lane& lane : group->lanes) {
+        train_stride(lane.stride, lane.policy, rec.pc, rec.addr);
+      }
+    }
+  }
+
+  /// Appends every config's blob for the current stream position.
+  void snapshot() {
+    for (const auto& group : groups_) {
+      const FunctionalWarmer::SharedState shared =
+          group->warmer.serialize_shared();
+      std::vector<std::vector<uint8_t>> lane_strides;
+      lane_strides.reserve(group->lanes.size());
+      for (const Lane& lane : group->lanes) {
+        lane_strides.push_back(serialize_stride(lane.stride));
+      }
+      for (const Member& m : group->members) {
+        out_[m.config].push_back(FunctionalWarmer::splice_state(
+            m.policy, shared,
+            m.lane < 0 ? group->default_stride : lane_strides[m.lane]));
+      }
+    }
+  }
+
+  [[nodiscard]] std::vector<std::vector<std::vector<uint8_t>>> take() {
+    return std::move(out_);
+  }
+
+ private:
+  struct Lane {
+    core::Policy policy;
+    ci::StridePredictor stride;
+  };
+  struct Member {
+    size_t config;
+    core::Policy policy;
+    int lane;  ///< index into Group::lanes, -1 = the default stride
+  };
+  struct Group {
+    Group(const core::CoreConfig& commit_path, const isa::Program& program)
+        : warmer(commit_path, program),
+          default_stride(serialize_stride(warmer.stride_predictor())) {}
+    FunctionalWarmer warmer;
+    std::vector<uint8_t> default_stride;
+    std::vector<Lane> lanes;
+    std::vector<Member> members;
+  };
+  std::vector<std::unique_ptr<Group>> groups_;
+  std::vector<std::vector<std::vector<uint8_t>>> out_;
+};
+
+/// Shared prologue/epilogue of both grid capture sources: validation, the
+/// capture span, and the `warming.insts` / `warming.capture_us` telemetry
+/// (the streamed prefix counts once however many configs share it — the
+/// same convention ShardResult::warmed_insts uses).
+template <typename Stream>
+std::vector<std::vector<std::vector<uint8_t>>> capture_grid(
     const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    TraceReader& reader, const std::vector<uint64_t>& targets, int jobs) {
-  std::vector<std::unique_ptr<FunctionalWarmer>> warmers =
-      make_warmers(configs, program);
-  std::vector<std::vector<std::vector<uint8_t>>> out(
-      configs.size(), std::vector<std::vector<uint8_t>>(targets.size()));
-
-  const uint64_t limit = targets.empty() ? 0 : targets.back();
-  uint64_t pos = 0;
-  size_t ti = 0;
-  {
-    BlockBatchReader batches(reader, limit, jobs);
-    BlockBatchReader::Batch batch;
-    while (batches.next_batch(batch)) {
-      const size_t records = batch.records();
-      ti = feed_batch_grid(warmers, batch.blocks, batch.first_record, records,
-                           targets, ti, out, jobs);
-      pos = batch.first_record + records;
-    }
+    const std::vector<uint64_t>& targets, Stream&& stream) {
+  if (configs.empty()) {
+    throw std::runtime_error("capture_warm_states_grid: no configs");
   }
-  // Leftover targets either sit exactly at the delivered end of stream
-  // (the normal case — the last target IS the record limit) or the trace
-  // is truncated.
-  size_t reachable = ti;
-  while (reachable < targets.size() && targets[reachable] == pos) {
-    ++reachable;
-  }
-  if (reachable < targets.size()) {
-    throw_trace_truncated(pos, targets[reachable], reachable, targets.size());
-  }
-  snapshot_tail_grid(warmers, targets, ti, out, jobs);
-  obs::Registry::instance().counter("warming.insts").add(pos);
-  return out;
+  check_targets_sorted(targets);
+  obs::Span span("warming.capture", targets.size());
+  const obs::Stopwatch clock;
+  GridWarmer grid(configs, program);
+  const uint64_t streamed = stream(grid);
+  obs::Registry& reg = obs::Registry::instance();
+  reg.counter("warming.insts").add(streamed);
+  reg.histogram("warming.capture_us").observe(clock.elapsed_us());
+  return grid.take();
 }
 }  // namespace
 
 std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
     const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    const std::vector<uint64_t>& targets, int jobs) {
-  if (configs.empty()) {
-    throw std::runtime_error("capture_warm_states_grid: no configs");
-  }
-  check_targets_sorted(targets);
-  jobs = resolve_warm_jobs(jobs);
-  obs::Span span("warming.capture", targets.size());
-  const obs::Stopwatch clock;
-  auto out = jobs <= 1
-                 ? capture_grid_engine_sequential(configs, program, targets)
-                 : capture_grid_engine_pipelined(configs, program, targets,
-                                                 jobs);
-  obs::Registry::instance()
-      .histogram("warming.capture_us")
-      .observe(clock.elapsed_us());
-  return out;
+    const std::vector<uint64_t>& targets) {
+  return capture_grid(configs, program, targets, [&](GridWarmer& grid) {
+    // The sink delivers the same TraceRecord stream
+    // FunctionalWarmer::advance_to feeds itself. A program that halts
+    // before a target snapshots it at the final state.
+    mem::MainMemory memory;
+    isa::load_data_image(program, memory);
+    isa::FunctionalEngine engine(program, memory);
+    engine.set_sink([&](uint64_t, const isa::StepEvent* ev, size_t n) {
+      for (size_t i = 0; i < n; ++i) grid.on_record(to_trace_record(ev[i]));
+    });
+    for (const uint64_t target : targets) {
+      engine.run_to(target);
+      grid.snapshot();
+    }
+    return engine.executed();
+  });
 }
 
 std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
     const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    TraceReader& reader, const std::vector<uint64_t>& targets, int jobs) {
-  if (configs.empty()) {
-    throw std::runtime_error("capture_warm_states_grid: no configs");
-  }
-  check_targets_sorted(targets);
-  jobs = resolve_warm_jobs(jobs);
-  obs::Span span("warming.capture", targets.size());
-  const obs::Stopwatch clock;
-  auto out = jobs <= 1 ? capture_grid_trace_sequential(configs, program,
-                                                       reader, targets)
-                       : capture_grid_trace_pipelined(configs, program,
-                                                      reader, targets, jobs);
-  obs::Registry::instance()
-      .histogram("warming.capture_us")
-      .observe(clock.elapsed_us());
-  return out;
+    TraceReader& reader, const std::vector<uint64_t>& targets) {
+  return capture_grid(configs, program, targets, [&](GridWarmer& grid) {
+    // The stored records ARE the engine's event stream (the recorder used
+    // the same sink), so they train byte-identical state — but a CFIRTRC2
+    // reader only decodes the blocks covering [0, last target).
+    reader.seek_to(0);
+    uint64_t pos = 0;
+    TraceRecord rec;
+    for (size_t t = 0; t < targets.size(); ++t) {
+      while (pos < targets[t]) {
+        if (!reader.next(rec)) {
+          throw_trace_truncated(pos, targets[t], t, targets.size());
+        }
+        grid.on_record(rec);
+        ++pos;
+      }
+      grid.snapshot();
+    }
+    return pos;
+  });
 }
 
 }  // namespace cfir::trace

@@ -120,6 +120,21 @@ class FunctionalWarmer {
   [[nodiscard]] std::vector<uint8_t> serialize_state() const;
   void deserialize_state(const std::vector<uint8_t>& blob);
 
+  /// serialize_state() split around its policy-dependent part. A blob is
+  ///   magic | policy byte | head | stride predictor | tail
+  /// and only the policy byte and the stride predictor depend on the
+  /// policy, so grid capture serializes one commit-path warmer's head and
+  /// tail once per target and splices each config's policy byte and
+  /// stride section between them. serialize_state() is this splice too.
+  struct SharedState {
+    std::vector<uint8_t> head;  ///< position, gshare, MBS, RAS
+    std::vector<uint8_t> tail;  ///< cache hierarchy
+  };
+  [[nodiscard]] SharedState serialize_shared() const;
+  [[nodiscard]] static std::vector<uint8_t> splice_state(
+      core::Policy policy, const SharedState& shared,
+      const std::vector<uint8_t>& stride);
+
   // Per-component introspection for the differential tests.
   [[nodiscard]] const branch::Gshare& gshare() const { return gshare_; }
   [[nodiscard]] const branch::MbsTable& mbs() const { return mbs_; }
@@ -152,48 +167,37 @@ class FunctionalWarmer {
 /// One streaming engine pass capturing the serialized warm state at
 /// each target instruction count (`targets` must be non-decreasing —
 /// interval plans are). Element i is the blob for warming [0, targets[i]).
+/// The solo reference: capture_warm_states_grid is tested against it.
 [[nodiscard]] std::vector<std::vector<uint8_t>> capture_warm_states(
     const core::CoreConfig& config, const isa::Program& program,
     const std::vector<uint64_t>& targets);
 
-/// The multi-config variant behind config-grid sharding (docs/sharding.md):
-/// ONE streaming engine pass fans every committed record out to one
-/// FunctionalWarmer per config, so warming a whole grid costs O(prefix)
-/// architectural execution instead of O(prefix × configs) — the committed
-/// stream is config-independent; only the trained components differ.
-/// Result[c][i] is the blob for config c warmed over [0, targets[i]), and
-/// each blob is bit-identical to the one a solo capture_warm_states pass
-/// under that config produces (same records, same training calls).
-///
-/// `jobs` caps the pipelined fan-out (docs/sampling.md "Pipelined
-/// warming"): the engine decodes the stream in block-sized batches and
-/// each batch trains the N configs' warmers in parallel, one task per
-/// config, snapshot blobs serialized inside those tasks. Every warmer
-/// still sees the identical record stream in order on a single thread,
-/// so the blobs are bit-identical at every setting (ctest-locked).
-/// jobs < 0 reads CFIR_WARM_JOBS (sim::env_warm_jobs), 0 means auto
-/// (CFIR_THREADS / hardware concurrency) and 1 forces the sequential
-/// reference path.
+/// The multi-config variant behind config-grid sharding (docs/sampling.md
+/// "Shared grid warming"): ONE streaming engine pass over the committed
+/// stream warms the whole grid. Configs are grouped by
+/// CoreConfig::warm_geometry_digest(); each group trains ONE commit-path
+/// warmer (caches, gshare, MBS, RAS) plus one stride-predictor lane per
+/// stride-training policy (ci, vect) present in it, because the stride
+/// predictor is the only policy-dependent warm state. At each target the
+/// group's shared sections serialize once and every config's blob is
+/// spliced from them (FunctionalWarmer::splice_state). Result[c][i] is
+/// the blob for config c warmed over [0, targets[i]), byte-identical to
+/// capture_warm_states(configs[c], ...)[i]. The `warming.trainers` and
+/// `warming.stride_lanes` counters record what each call builds.
 [[nodiscard]] std::vector<std::vector<std::vector<uint8_t>>>
 capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
                          const isa::Program& program,
-                         const std::vector<uint64_t>& targets, int jobs = -1);
+                         const std::vector<uint64_t>& targets);
 
 /// Trace-fed variant: streams the committed records out of `reader`
 /// instead of re-executing the program, reading only the blocks covering
 /// [0, targets.back()) on a CFIRTRC2 file. Blobs are bit-identical to
 /// the engine-pass variant because the recorded stream is the same event
-/// stream. Throws if the trace ends before the last target. With
-/// `jobs` > 1 (resolution as above) this is the fully pipelined path: a
-/// BlockBatchReader (trace/batch_reader.hpp) wave-decodes upcoming
-/// CFIRTRC2 blocks concurrently with the per-config fan-out, so column
-/// decode + LZ never sits on the warmers' critical path (CFIRTRC1
-/// sources fall back to sequential decode, keeping the parallel
-/// fan-out). Overlap is observable via the warming.decode_wait_us /
-/// warming.feed_us / warming.batches counters.
+/// stream. Throws if the trace ends before the last target, naming the
+/// target and its interval.
 [[nodiscard]] std::vector<std::vector<std::vector<uint8_t>>>
 capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
                          const isa::Program& program, TraceReader& reader,
-                         const std::vector<uint64_t>& targets, int jobs = -1);
+                         const std::vector<uint64_t>& targets);
 
 }  // namespace cfir::trace

@@ -231,13 +231,6 @@ TEST(Pool, MaxWorkersBoundsConcurrency) {
   EXPECT_GE(high.load(), 1);
 }
 
-TEST(Sweep, EnvWarmJobsParses) {
-  ASSERT_EQ(setenv("CFIR_WARM_JOBS", "4", 1), 0);
-  EXPECT_EQ(env_warm_jobs(), 4);
-  ASSERT_EQ(unsetenv("CFIR_WARM_JOBS"), 0);
-  EXPECT_EQ(env_warm_jobs(), 0);
-}
-
 TEST(Sweep, EnvShardParsesSpec) {
   ASSERT_EQ(setenv("CFIR_SHARD", "1/3", 1), 0);
   const trace::ShardSelection sel = env_shard();

@@ -1,13 +1,15 @@
-// Warm-blob deduplication (trace/sampling.cpp bind_configs +
-// trace/manifest.cpp write_manifest): functional warm state depends only
-// on the geometry core::CoreConfig::warm_digest() covers (predictor and
-// cache shapes, policy family), so a ports/regs/width sweep must train
-// each distinct geometry ONCE, share the blobs across the group by
-// construction, and collapse the group to a single warm sidecar file per
-// interval on disk. The dedup is an optimization, not a semantic change:
-// the grid still runs and merges bit-identically per column (locked by
-// tests/test_shard.cpp); this file locks the sharing itself so a digest
-// regression cannot silently re-inflate warming cost O(configs)-fold.
+// Warm-blob sharing across a config grid (trace/warming.cpp
+// capture_warm_states_grid, reached through trace/sampling.cpp
+// bind_configs, + trace/manifest.cpp write_manifest): functional warm
+// state depends only on the policy and the geometry
+// core::CoreConfig::warm_geometry_digest() covers (predictor and cache
+// shapes), so a ports/regs/width sweep must train each distinct geometry
+// ONCE, give every point of a group byte-identical blobs, and collapse the
+// group to a single warm sidecar file per interval on disk. The sharing is
+// an optimization, not a semantic change: the grid still runs and merges
+// bit-identically per column (locked by tests/test_shard.cpp); this file
+// locks the sharing itself so a grouping regression cannot silently
+// re-inflate warming cost O(configs)-fold.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/presets.hpp"
 #include "trace/manifest.hpp"
 #include "trace/sampling.hpp"
@@ -67,15 +70,21 @@ sweep_points() {
 
 TEST(WarmDedup, BindConfigsSharesBlobsAcrossEqualGeometry) {
   const auto points = sweep_points();
-  ASSERT_EQ(points[0].second.warm_digest(), points[1].second.warm_digest());
-  ASSERT_EQ(points[0].second.warm_digest(), points[2].second.warm_digest());
-  ASSERT_NE(points[0].second.warm_digest(), points[3].second.warm_digest());
+  const uint64_t geometry = points[0].second.warm_geometry_digest();
+  ASSERT_EQ(geometry, points[1].second.warm_geometry_digest());
+  ASSERT_EQ(geometry, points[2].second.warm_geometry_digest());
+  ASSERT_NE(geometry, points[3].second.warm_geometry_digest());
 
   const isa::Program program = workloads::build("bzip2", 4);
   const IntervalPlan plan =
       plan_intervals(program, 2, 60000, 0, WarmMode::kFunctional);
+  obs::Counter& trainers =
+      obs::Registry::instance().counter("warming.trainers");
+  const uint64_t trainers_before = trainers.value();
   const std::vector<ConfigBinding> bindings =
       bind_configs(plan, points, program);
+  // One commit-path trainer per distinct geometry, for the whole grid.
+  EXPECT_EQ(trainers.value() - trainers_before, 2u);
   ASSERT_EQ(bindings.size(), points.size());
   for (const ConfigBinding& b : bindings) {
     ASSERT_EQ(b.warm.size(), plan.checkpoints.size()) << b.name;
