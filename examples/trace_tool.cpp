@@ -50,16 +50,21 @@
 // the number of BBV windows and only one weighted representative per
 // phase is simulated.
 //
+// Every numeric argument must be a whole decimal number: "--detail=2k" or
+// "--jobs=x" is a usage error, not a silently truncated value.
+//
 // Exit codes (scripts can branch on the failure kind):
-//   0 ok | 1 other error | 2 usage | 3 bad magic | 4 unsupported version
+//   0 ok | 1 other error | 2 usage | 3 bad magic
+//   4 unsupported version (a retired format generation: regenerate it)
 //   5 config-hash mismatch | 6 corrupt/truncated file
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -127,17 +132,36 @@ int usage() {
       "     warming passes; identical output bytes, cached is ~3-4x faster),\n"
       "     CFIR_TRACE_FORMAT=v1|v2 (trace writer format, default v2 —\n"
       "     columnar seekable CFIRTRC2; v1 is the row-oriented oracle),\n"
-      "     CFIR_STRICT_BLOBS (reject legacy footer-less blobs),\n"
       "     CFIR_TRACE=<file> (same as --trace-out),\n"
       "     CFIR_PROGRESS=1|stderr (.cfirprog heartbeats)\n"
-      "exit: 2 usage, 3 bad magic, 4 bad version, 5 config-hash mismatch,\n"
-      "      6 corrupt file, 1 other\n");
+      "numbers: whole decimal values only (--detail=2k is a usage error)\n"
+      "exit: 2 usage, 3 bad magic, 4 retired format version (regenerate\n"
+      "      the file), 5 config-hash mismatch, 6 corrupt or truncated\n"
+      "      file, 1 other\n");
   return 2;
 }
 
+/// Parses all of `text` as a decimal number that fits in T. Empty input, a
+/// sign, trailing characters ("2k") and overflow print a message naming
+/// `what` and return false — the caller's usage error (exit 2).
+template <typename T>
+bool parse_number(const char* what, std::string_view text, T& out) {
+  uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || ptr != end ||
+      v > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+    std::fprintf(stderr, "trace_tool: %s expects a whole number, got '%.*s'\n",
+                 what, static_cast<int>(text.size()), text.data());
+    return false;
+  }
+  out = static_cast<T>(v);
+  return true;
+}
+
 /// The core configuration sampling subcommands default to when no
-/// --config/--configs flag names one — one definition so plan, run-shard
-/// and sample can never drift apart.
+/// --config/--configs flag names one — one definition so plan and sample
+/// can never drift apart.
 core::CoreConfig tool_config() { return sim::presets::ci(2, 512); }
 
 std::string default_path(const std::string& workload, uint32_t scale) {
@@ -148,10 +172,12 @@ std::string default_path(const std::string& workload, uint32_t scale) {
 int cmd_record(int argc, char** argv) {
   if (argc < 1) return usage();
   const std::string workload = argv[0];
-  const uint32_t scale =
-      argc > 1 ? static_cast<uint32_t>(std::strtoul(argv[1], nullptr, 10)) : 1;
-  const uint64_t max_insts =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : UINT64_MAX;
+  uint32_t scale = 1;
+  uint64_t max_insts = UINT64_MAX;
+  if ((argc > 1 && !parse_number("scale", argv[1], scale)) ||
+      (argc > 2 && !parse_number("max_insts", argv[2], max_insts))) {
+    return usage();
+  }
 
   const isa::Program program = workloads::build(workload, scale);
   trace::TraceMeta meta;
@@ -172,7 +198,8 @@ int cmd_record(int argc, char** argv) {
 /// artifact files, so a farmed directory is inspectable without merging.
 int manifest_info(const std::string& path) {
   const trace::ShardManifest m = trace::ShardManifest::load(path);
-  std::printf("manifest: %s  version: %u\n", path.c_str(), m.version);
+  std::printf("manifest: %s  version: %u\n", path.c_str(),
+              trace::kManifestVersion);
   std::printf("workload: %s  scale: %u  mode: %s  warm_mode: %s\n",
               m.workload.c_str(), m.scale,
               m.mode == trace::SampleMode::kCluster ? "cluster" : "uniform",
@@ -184,10 +211,8 @@ int manifest_info(const std::string& path) {
   std::printf("configs: %zu\n", m.configs.size());
   for (size_t c = 0; c < m.configs.size(); ++c) {
     const auto& cp = m.configs[c];
-    std::printf("  [%zu] %s  hash 0x%016llx%s\n", c,
-                cp.name.empty() ? "(executor-supplied)" : cp.name.c_str(),
-                static_cast<unsigned long long>(cp.config_hash),
-                cp.embedded ? "" : "  (not embedded)");
+    std::printf("  [%zu] %s  hash 0x%016llx\n", c, cp.name.c_str(),
+                static_cast<unsigned long long>(cp.config_hash));
   }
   std::printf("intervals: %zu\n", m.intervals.size());
   for (size_t i = 0; i < m.intervals.size(); ++i) {
@@ -207,14 +232,15 @@ int manifest_info(const std::string& path) {
 int cmd_info(int argc, char** argv) {
   if (argc < 1) return usage();
   const std::string path = argv[0];
-  // Sniff the magic so one `info` verb serves every artifact kind.
+  // Sniff the magic so one `info` verb serves every artifact kind. The
+  // family prefix routes every manifest generation to the manifest
+  // reader, which names a retired one (exit 4).
   {
     char magic[8] = {};
     std::ifstream in(path, std::ios::binary);
     in.read(magic, sizeof(magic));
-    if (in &&
-        (std::memcmp(magic, trace::kManifestMagic, sizeof(magic)) == 0 ||
-         std::memcmp(magic, trace::kManifestMagicV2, sizeof(magic)) == 0)) {
+    if (in && std::memcmp(magic, trace::kManifestMagic,
+                          sizeof(magic) - 1) == 0) {
       return manifest_info(path);
     }
   }
@@ -294,11 +320,12 @@ int cmd_replay(int argc, char** argv) {
 
 int cmd_phases(int argc, char** argv) {
   if (argc < 1) return usage();
-  trace::TraceReader reader(argv[0]);
-  const uint32_t n_intervals =
-      argc > 1 ? static_cast<uint32_t>(std::strtoul(argv[1], nullptr, 10))
-               : 32;
+  uint32_t n_intervals = 32;
+  if (argc > 1 && !parse_number("n_intervals", argv[1], n_intervals)) {
+    return usage();
+  }
   if (n_intervals == 0) return usage();
+  trace::TraceReader reader(argv[0]);
 
   // Interval length from the header's record count, so `phases` needs no
   // workload rebuild — it only walks the stored stream.
@@ -382,7 +409,9 @@ bool parse_plan_args(int argc, char** argv, PlanArgs& out) {
     if (arg.rfind("--warm-mode=", 0) == 0) {
       out.warm_mode = trace::parse_warm_mode(arg.substr(12));
     } else if (arg.rfind("--detail=", 0) == 0) {
-      out.detail_len = std::strtoull(arg.c_str() + 9, nullptr, 10);
+      if (!parse_number("--detail", arg.substr(9), out.detail_len)) {
+        return false;
+      }
     } else if (arg.rfind("--mode=", 0) == 0) {
       const std::string v = arg.substr(7);
       if (v == "uniform") {
@@ -393,10 +422,9 @@ bool parse_plan_args(int argc, char** argv, PlanArgs& out) {
         return false;
       }
     } else if (arg.rfind("--warmup=", 0) == 0) {
-      out.warmup = std::strtoull(arg.c_str() + 9, nullptr, 10);
+      if (!parse_number("--warmup", arg.substr(9), out.warmup)) return false;
     } else if (arg.rfind("--max-k=", 0) == 0) {
-      out.max_k = static_cast<uint32_t>(
-          std::strtoul(arg.c_str() + 8, nullptr, 10));
+      if (!parse_number("--max-k", arg.substr(8), out.max_k)) return false;
     } else if (arg.rfind("--config=", 0) == 0) {
       if (!parse_config_list(arg.substr(9), out)) return false;
     } else if (arg.rfind("--configs=", 0) == 0) {
@@ -411,12 +439,11 @@ bool parse_plan_args(int argc, char** argv, PlanArgs& out) {
   }
   if (pos.size() < 2) return false;
   out.workload = pos[0];
-  out.k = static_cast<uint32_t>(std::strtoul(pos[1].c_str(), nullptr, 10));
-  if (pos.size() > 2) {
-    out.scale =
-        static_cast<uint32_t>(std::strtoul(pos[2].c_str(), nullptr, 10));
+  if (!parse_number("k", pos[1], out.k) ||
+      (pos.size() > 2 && !parse_number("scale", pos[2], out.scale)) ||
+      (pos.size() > 3 && !parse_number("max_insts", pos[3], out.max_insts))) {
+    return false;
   }
-  if (pos.size() > 3) out.max_insts = std::strtoull(pos[3].c_str(), nullptr, 10);
   if (out.configs.empty()) {
     out.configs.emplace_back(tool_config().label(), tool_config());
   }
@@ -574,7 +601,7 @@ int cmd_run_shard(int argc, char** argv) {
         return usage();
       }
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = static_cast<int>(std::strtol(arg.c_str() + 7, nullptr, 10));
+      if (!parse_number("--jobs", arg.substr(7), jobs)) return usage();
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--", 0) == 0) {
@@ -619,31 +646,14 @@ int cmd_run_shard(int argc, char** argv) {
                                       obs::progress_stderr_requested());
   }
 
-  trace::ShardResult result;
-  if (manifest.version >= 2) {
-    // The configs travel in the manifest; refuse a manifest directory
-    // whose reloaded checkpoints no longer match its interval schedule.
-    trace::verify_manifest_plan(manifest, plan);
-    // `shard` limits the warm-sidecar reads to this worker's intervals.
-    const std::vector<trace::ConfigBinding> bindings =
-        trace::bindings_from_manifest(manifest, manifest_path, shard);
-    result = trace::run_shard(bindings, program, plan, shard, jobs,
-                              manifest.plan_hash, warm_trace);
-  } else {
-    // v1: the config is executor-supplied. Refuse to execute under a
-    // config the plan was not made for — a shard simulated under the
-    // wrong core would silently skew the merged result.
-    trace::verify_manifest_config(manifest, tool_config(), plan);
-    // Same call the single-config run_shard overload makes, with the
-    // warm-trace routing threaded through.
-    trace::ConfigBinding binding;
-    binding.name = tool_config().label();
-    binding.config = tool_config();
-    binding.config_hash = manifest.plan_hash;
-    result = trace::run_shard(std::vector<trace::ConfigBinding>{binding},
-                              program, plan, shard, jobs, manifest.plan_hash,
-                              warm_trace);
-  }
+  // The configs travel in the manifest; refuse a manifest directory whose
+  // reloaded checkpoints no longer match its interval schedule.
+  trace::verify_manifest_plan(manifest, plan);
+  // `shard` limits the warm-sidecar reads to this worker's intervals.
+  const std::vector<trace::ConfigBinding> bindings =
+      trace::bindings_from_manifest(manifest, manifest_path, shard);
+  trace::ShardResult result = trace::run_shard(
+      bindings, program, plan, shard, jobs, manifest.plan_hash, warm_trace);
   if (scrub_wall) {
     // Zero the host wall-clock telemetry riding in the blob (the only
     // nondeterministic fields), so two runs of the same shard byte-diff
@@ -796,8 +806,10 @@ int cmd_watch(int argc, char** argv) {
     if (arg == "--once") {
       once = true;
     } else if (arg.rfind("--interval-ms=", 0) == 0) {
-      interval_ms = std::strtol(arg.c_str() + 14, nullptr, 10);
-      if (interval_ms < 50) interval_ms = 50;
+      if (!parse_number("--interval-ms", arg.substr(14), interval_ms)) {
+        return usage();
+      }
+      interval_ms = std::max(interval_ms, 50L);
     } else if (arg.rfind("--", 0) == 0) {
       return usage();
     } else if (manifest_path.empty()) {

@@ -1,11 +1,9 @@
 #include "trace/blob.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
-#include "obs/log.hpp"
 #include "trace/errors.hpp"
 #include "util/crc32.hpp"
 
@@ -13,32 +11,12 @@ namespace cfir::trace {
 
 namespace {
 
-/// CFIR_STRICT_BLOBS=1 turns legacy footer-less blobs from a warning into
-/// a hard CorruptFileError — for fleets where every artifact is known to
-/// be post-CRC and a missing footer can only mean truncation.
-bool strict_blobs() {
-  const char* v = std::getenv("CFIR_STRICT_BLOBS");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
-
-/// A pre-CRC CFIRTRC1/CFIRCKP blob was accepted without integrity
-/// checking: warn once per process through the rate-limited obs::log
-/// channel (the first file names the problem; a directory of old blobs
-/// should not flood stderr, and CFIR_JSON stdout stays clean either way),
-/// or reject under CFIR_STRICT_BLOBS=1.
-void note_legacy_blob(const char* what, const std::string& path) {
-  if (strict_blobs()) {
-    throw CorruptFileError(
-        std::string(what) + ": " + path +
-        " has no CRC footer (legacy pre-CRC blob) and CFIR_STRICT_BLOBS=1 "
-        "rejects footer-less files — re-record the artifact to add the "
-        "footer");
-  }
-  obs::log(obs::LogLevel::kWarn, "legacy-blob",
-           std::string(what) + " " + path +
-               " has no CRC footer (legacy pre-CRC blob); loading without "
-               "integrity checking. Re-record it to add the footer, or set "
-               "CFIR_STRICT_BLOBS=1 to reject such files.");
+/// No "CRC1" footer where the file ends: the copy lost its tail (every
+/// writer appends the footer last), so nothing in it can be trusted.
+CorruptFileError missing_footer(const char* what, const std::string& path) {
+  return CorruptFileError(std::string(what) +
+                          ": missing CRC footer (truncated file?) in " +
+                          path);
 }
 
 /// Opens `path` positioned at the end and returns its size; rejects
@@ -117,21 +95,13 @@ void write_blob_file(const std::string& path,
   if (!out) throw std::runtime_error("blob: write failed for " + path);
 }
 
-std::vector<uint8_t> read_blob_file(const std::string& path, const char* what,
-                                    bool require_footer) {
+std::vector<uint8_t> read_blob_file(const std::string& path,
+                                    const char* what) {
   std::vector<uint8_t> bytes = read_whole_file(path, what);
-  const bool has_footer =
-      bytes.size() >= kCrcFooterBytes &&
+  if (bytes.size() < kCrcFooterBytes ||
       std::memcmp(bytes.data() + bytes.size() - kCrcFooterBytes,
-                  kCrcFooterMagic, sizeof(kCrcFooterMagic)) == 0;
-  if (!has_footer) {
-    if (require_footer) {
-      throw CorruptFileError(std::string(what) +
-                             ": missing CRC footer (truncated file?) in " +
-                             path);
-    }
-    note_legacy_blob(what, path);
-    return bytes;  // legacy pre-footer file
+                  kCrcFooterMagic, sizeof(kCrcFooterMagic)) != 0) {
+    throw missing_footer(what, path);
   }
   const size_t payload_size = bytes.size() - kCrcFooterBytes;
   uint32_t stored = 0;
@@ -163,8 +133,7 @@ void verify_crc_footer(const std::string& path, const char* what) {
   std::streamoff size = 0;
   std::ifstream in = open_sized(path, what, size);
   if (static_cast<uint64_t>(size) < kCrcFooterBytes) {
-    note_legacy_blob(what, path);
-    return;
+    throw missing_footer(what, path);
   }
   const uint64_t payload_size =
       static_cast<uint64_t>(size) - kCrcFooterBytes;
@@ -176,8 +145,7 @@ void verify_crc_footer(const std::string& path, const char* what) {
     throw CorruptFileError(std::string(what) + ": read failed for " + path);
   }
   if (std::memcmp(footer, kCrcFooterMagic, sizeof(kCrcFooterMagic)) != 0) {
-    note_legacy_blob(what, path);
-    return;  // legacy pre-footer file
+    throw missing_footer(what, path);
   }
   uint32_t stored = 0;
   std::memcpy(&stored, footer + sizeof(kCrcFooterMagic), sizeof(stored));
@@ -204,6 +172,38 @@ std::string get_string(util::ByteReader& in, const char* what) {
   std::string s(len, '\0');
   in.bytes(reinterpret_cast<uint8_t*>(s.data()), len);
   return s;
+}
+
+util::ByteReader read_blob_header(const std::vector<uint8_t>& payload,
+                                  const char (&magic)[8], uint32_t version,
+                                  const std::string& what,
+                                  const char* regenerate) {
+  constexpr size_t kMagicBytes = sizeof(magic);
+  constexpr size_t kHeaderBytes = kMagicBytes + 2 * sizeof(uint32_t);
+  if (payload.size() < kMagicBytes) {
+    throw CorruptFileError(what + ": truncated header");
+  }
+  const std::string found(payload.begin(), payload.begin() + kMagicBytes);
+  const std::string current(magic, kMagicBytes);
+  if (found.compare(0, kMagicBytes - 1, current, 0, kMagicBytes - 1) != 0) {
+    throw BadMagicError(what + ": bad magic (not a " +
+                        current.substr(0, kMagicBytes - 1) + " file)");
+  }
+  if (payload.size() < kHeaderBytes) {
+    throw CorruptFileError(what + ": truncated header");
+  }
+  uint32_t found_version = 0;
+  std::memcpy(&found_version, payload.data() + kMagicBytes,
+              sizeof(found_version));
+  if (found != current || found_version != version) {
+    throw VersionError(what + ": '" + found + "' version " +
+                       std::to_string(found_version) +
+                       " is not the current '" + current + "' version " +
+                       std::to_string(version) + " — re-run `" +
+                       regenerate + "` to regenerate it");
+  }
+  return util::ByteReader(payload.data() + kHeaderBytes,
+                          payload.size() - kHeaderBytes);
 }
 
 }  // namespace cfir::trace

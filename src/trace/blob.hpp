@@ -6,11 +6,12 @@
 //
 // Readers verify the footer before any payload byte is decoded, so a
 // truncated or bit-flipped file fails loudly (CorruptFileError) instead of
-// decoding into garbage. The formats that existed before the footer
-// (CFIRTRC1, CFIRCKP1/2) accept footer-less files for backward
-// compatibility — their own structural checks still bound the damage — but
-// always write the footer; the formats born with it (CFIRMAN1, CFIRSHD1)
-// require it.
+// decoding into garbage. Every format requires the footer: a file without
+// one is a truncated copy, whatever its age.
+//
+// Each format reads exactly one generation, the one its writer emits
+// (docs/trace-format.md "Format versions"). A file of a retired
+// generation is a VersionError naming the command that regenerates it.
 #pragma once
 
 #include <cstdint>
@@ -29,13 +30,10 @@ void write_blob_file(const std::string& path,
                      const std::vector<uint8_t>& payload);
 
 /// Reads `path` and verifies the CRC footer, returning the payload without
-/// it. With `require_footer`, a file lacking the footer throws
-/// CorruptFileError; without, it is returned whole (legacy pre-footer
-/// file). A present-but-wrong CRC always throws. `what` names the format
-/// in error messages ("Checkpoint", "ShardManifest", ...).
+/// it. A missing footer or a wrong CRC throws CorruptFileError. `what`
+/// names the format in error messages ("Checkpoint", "ShardManifest", ...).
 [[nodiscard]] std::vector<uint8_t> read_blob_file(const std::string& path,
-                                                  const char* what,
-                                                  bool require_footer);
+                                                  const char* what);
 
 /// Appends the CRC footer to an existing footer-less file — for writers
 /// that stream their payload and patch the header afterwards
@@ -45,9 +43,24 @@ void append_crc_footer(const std::string& path);
 
 /// Verifies the CRC footer of `path` without returning (or buffering) the
 /// payload — for readers that stream the file themselves (TraceReader).
-/// Checksums in fixed-size chunks. Footer-less legacy files pass; a
-/// present-but-wrong CRC throws CorruptFileError.
+/// Checksums in fixed-size chunks. A missing footer or a wrong CRC throws
+/// CorruptFileError.
 void verify_crc_footer(const std::string& path, const char* what);
+
+/// Checks the header every versioned blob payload opens with,
+///   8-byte magic | u32 version | u32 reserved,
+/// against the one generation this build reads (`magic`, `version`), and
+/// returns a reader over the bytes after it (a view into `payload`, which
+/// must outlive it). Throws
+///  - CorruptFileError when the payload is shorter than the header;
+///  - VersionError when the magic belongs to the same family (equal first
+///    seven bytes) but names another generation, or the version differs —
+///    the message names `regenerate`, the command that rewrites the file;
+///  - BadMagicError for anything else (another kind of file).
+/// `what` prefixes every message ("ShardManifest", "Checkpoint <path>").
+[[nodiscard]] util::ByteReader read_blob_header(
+    const std::vector<uint8_t>& payload, const char (&magic)[8],
+    uint32_t version, const std::string& what, const char* regenerate);
 
 /// The length-prefixed string encoding shared by every trace blob format
 /// (u32 byte count + bytes): one definition so the manifest and shard

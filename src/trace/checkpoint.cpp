@@ -1,7 +1,6 @@
 #include "trace/checkpoint.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 
@@ -36,22 +35,16 @@ Checkpoint snapshot(const isa::FunctionalEngine& engine,
 
 }  // namespace
 
-void Checkpoint::save(const std::string& path, bool include_warm) const {
+void Checkpoint::save(const std::string& path) const {
   obs::Span span("checkpoint.save");
   const obs::Stopwatch clock;
   // Stream pages straight to the file (memory images can be large) and
   // append the CRC footer with the chunked helper afterwards, like
   // TraceWriter::finish — never the whole payload in one buffer.
-  const bool with_warm = include_warm && has_warm();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("Checkpoint: cannot open " + path);
-  if (with_warm) {
-    out.write(kCheckpointMagicV2, sizeof(kCheckpointMagicV2));
-    io::put_raw(out, kCheckpointVersionWarm);
-  } else {
-    out.write(kCheckpointMagic, sizeof(kCheckpointMagic));
-    io::put_raw(out, kCheckpointVersion);
-  }
+  out.write(kCheckpointMagic, sizeof(kCheckpointMagic));
+  io::put_raw(out, kCheckpointVersion);
   io::put_raw(out, uint32_t{0});  // reserved
   io::put_raw(out, pc);
   io::put_raw(out, executed);
@@ -69,11 +62,6 @@ void Checkpoint::save(const std::string& path, bool include_warm) const {
     out.write(reinterpret_cast<const char*>(data),
               mem::MainMemory::kPageSize);
   }
-  if (with_warm) {
-    io::put_raw(out, static_cast<uint64_t>(warm.size()));
-    out.write(reinterpret_cast<const char*>(warm.data()),
-              static_cast<std::streamsize>(warm.size()));
-  }
   out.close();
   if (!out) throw std::runtime_error("Checkpoint: write failed for " + path);
   append_crc_footer(path);
@@ -85,29 +73,11 @@ void Checkpoint::save(const std::string& path, bool include_warm) const {
 Checkpoint Checkpoint::load(const std::string& path) {
   obs::Span span("checkpoint.load");
   const obs::Stopwatch clock;
-  const std::vector<uint8_t> bytes =
-      read_blob_file(path, "Checkpoint", /*require_footer=*/false);
-  if (bytes.size() < sizeof(kCheckpointMagic)) {
-    throw CorruptFileError("Checkpoint: truncated file " + path);
-  }
-  const bool v1 =
-      std::memcmp(bytes.data(), kCheckpointMagic, sizeof(kCheckpointMagic)) ==
-      0;
-  const bool v2 = std::memcmp(bytes.data(), kCheckpointMagicV2,
-                              sizeof(kCheckpointMagicV2)) == 0;
-  if (!v1 && !v2) {
-    throw BadMagicError("Checkpoint: bad magic in " + path);
-  }
+  const std::vector<uint8_t> bytes = read_blob_file(path, "Checkpoint");
+  util::ByteReader in =
+      read_blob_header(bytes, kCheckpointMagic, kCheckpointVersion,
+                       "Checkpoint " + path, "trace_tool plan");
   try {
-    util::ByteReader in(bytes.data() + sizeof(kCheckpointMagic),
-                        bytes.size() - sizeof(kCheckpointMagic));
-    const uint32_t version = in.u32();
-    if (version != (v2 ? kCheckpointVersionWarm : kCheckpointVersion)) {
-      throw VersionError("Checkpoint: unsupported version " +
-                         std::to_string(version) + " in " + path);
-    }
-    (void)in.u32();  // reserved
-
     Checkpoint ck;
     ck.pc = in.u64();
     ck.executed = in.u64();
@@ -121,20 +91,14 @@ Checkpoint Checkpoint::load(const std::string& path) {
       in.bytes(buf.data(), buf.size());
       ck.memory.write_block(base_addr, buf.data(), buf.size());
     }
-    if (v2) {
-      const uint64_t warm_size = in.u64();
-      if (warm_size > in.remaining()) {
-        throw CorruptFileError("Checkpoint: truncated warm state in " + path);
-      }
-      ck.warm.resize(warm_size);
-      in.bytes(ck.warm.data(), warm_size);
+    if (!in.done()) {
+      throw CorruptFileError("Checkpoint: trailing bytes after pages in " +
+                             path);
     }
     obs::Registry::instance()
         .histogram("checkpoint.load_us")
         .observe(clock.elapsed_us());
     return ck;
-  } catch (const VersionError&) {
-    throw;
   } catch (const CorruptFileError&) {
     throw;
   } catch (const std::exception&) {

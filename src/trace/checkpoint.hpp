@@ -10,19 +10,12 @@
 //   magic "CFIRCKP1" | u32 version | u32 reserved
 //   | u64 pc | u64 executed | 64 x u64 registers
 //   | u64 page_count | page_count x (u64 base_addr | 4096 page bytes)
-// All-zero pages are dropped (reads of absent pages return zero).
-//
-// Version 2 ("CFIRCKP2") appends an opaque functional-warm-state blob
-// (trace/warming.hpp) after the pages:
-//   ... | u64 warm_size | warm_size bytes
-// so a warmed interval ships as one self-contained artifact: architectural
-// state to resume from plus the predictor/cache state trained over the
-// prefix. save() emits v1 when no warm state is attached; load() accepts
-// both versions.
-//
-// Either version ends with the shared CRC-32 footer (trace/blob.hpp), so a
-// truncated or bit-flipped checkpoint is rejected at load. Footer-less
-// files written before the footer existed still load.
+//   | "CRC1" | u32 crc32   (shared footer, trace/blob.hpp)
+// All-zero pages are dropped (reads of absent pages return zero). A
+// checkpoint is cold: the functional warm state an interval starts from
+// travels separately, in per-config warm sidecars (trace/manifest.hpp).
+// The footer is required, so a truncated or bit-flipped checkpoint is
+// rejected at load; any other "CFIRCKP" generation is a VersionError.
 #pragma once
 
 #include <array>
@@ -37,28 +30,15 @@ namespace cfir::trace {
 
 inline constexpr char kCheckpointMagic[8] = {'C', 'F', 'I', 'R',
                                              'C', 'K', 'P', '1'};
-inline constexpr char kCheckpointMagicV2[8] = {'C', 'F', 'I', 'R',
-                                               'C', 'K', 'P', '2'};
 inline constexpr uint32_t kCheckpointVersion = 1;
-inline constexpr uint32_t kCheckpointVersionWarm = 2;
 
 struct Checkpoint {
   uint64_t pc = 0;
   uint64_t executed = 0;  ///< instructions retired before this point
   std::array<uint64_t, isa::kNumLogicalRegs> regs{};
   mem::MainMemory memory;
-  /// Optional functional-warm-state blob (FunctionalWarmer::serialize_state
-  /// for the config the interval will run under); empty = cold checkpoint.
-  std::vector<uint8_t> warm;
 
-  [[nodiscard]] bool has_warm() const { return !warm.empty(); }
-
-  /// Writes v2 when warm state is attached and `include_warm`, v1
-  /// otherwise. `include_warm = false` strips the warm blob from the file
-  /// without copying the (large) memory image — multi-config manifests
-  /// share one cold architectural checkpoint per interval and carry warm
-  /// state in per-config sidecars instead (trace/manifest.hpp).
-  void save(const std::string& path, bool include_warm = true) const;
+  void save(const std::string& path) const;
   [[nodiscard]] static Checkpoint load(const std::string& path);
 };
 

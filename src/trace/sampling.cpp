@@ -146,21 +146,6 @@ IntervalPlan plan_cluster_intervals(const isa::Program& program,
   return plan;
 }
 
-void attach_warm_states(IntervalPlan& plan, const core::CoreConfig& config,
-                        const isa::Program& program) {
-  if (!warm_mode_has_functional_prefix(plan.warm_mode)) return;
-  std::vector<uint64_t> targets;
-  targets.reserve(plan.checkpoints.size());
-  for (const Checkpoint& ck : plan.checkpoints) {
-    targets.push_back(ck.executed);
-  }
-  std::vector<std::vector<uint8_t>> blobs =
-      capture_warm_states(config, program, targets);
-  for (size_t i = 0; i < plan.checkpoints.size(); ++i) {
-    plan.checkpoints[i].warm = std::move(blobs[i]);
-  }
-}
-
 std::vector<ConfigBinding> bind_configs(
     const IntervalPlan& plan,
     const std::vector<std::pair<std::string, core::CoreConfig>>& points,

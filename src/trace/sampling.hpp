@@ -65,7 +65,7 @@ struct SampledRun {
     double weight = 1.0;      ///< population this interval stands in for
     stats::SimStats stats;    ///< measured slice only (warm-up subtracted)
     /// Host wall-clock of this interval's detail simulation (telemetry —
-    /// never part of the simulated result; 0 from pre-v3 shard blobs).
+    /// never part of the simulated result).
     uint64_t wall_us = 0;
   };
   std::vector<Interval> intervals;
@@ -146,15 +146,6 @@ struct ClusterPlanOptions {
 /// (count, BBV, snapshot).
 [[nodiscard]] IntervalPlan plan_cluster_intervals(
     const isa::Program& program, const ClusterPlanOptions& opts = {});
-
-/// Attaches per-interval functional warm state to `plan`'s checkpoints for
-/// `config` (one streaming interpreter pass; see capture_warm_states).
-/// Checkpoints then save as CFIRCKP2, so warmed intervals can be farmed to
-/// other machines; sampled_run reuses attached state instead of
-/// re-streaming. Warm state is config-dependent — attaching binds the plan
-/// to configs with identical predictor/cache geometry and policy family.
-void attach_warm_states(IntervalPlan& plan, const core::CoreConfig& config,
-                        const isa::Program& program);
 
 /// One config point of an experiment grid, bound to a (config-independent)
 /// IntervalPlan. The plan carries everything that is shared across the

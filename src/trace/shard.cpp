@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 
@@ -50,7 +49,7 @@ ShardSelection parse_shard(std::string_view spec) {
 
 std::vector<uint8_t> ShardResult::serialize() const {
   util::ByteWriter out;
-  for (const char c : kShardMagicV2) out.u8(static_cast<uint8_t>(c));
+  for (const char c : kShardMagic) out.u8(static_cast<uint8_t>(c));
   out.u32(kShardVersion);
   out.u32(0);  // reserved
   out.u64(plan_hash);
@@ -91,29 +90,9 @@ std::vector<uint8_t> ShardResult::serialize() const {
 }
 
 ShardResult ShardResult::deserialize(const std::vector<uint8_t>& payload) {
-  const bool v1 =
-      payload.size() >= sizeof(kShardMagic) &&
-      std::memcmp(payload.data(), kShardMagic, sizeof(kShardMagic)) == 0;
-  const bool v2 =
-      payload.size() >= sizeof(kShardMagicV2) &&
-      std::memcmp(payload.data(), kShardMagicV2, sizeof(kShardMagicV2)) == 0;
-  if (!v1 && !v2) {
-    throw BadMagicError("ShardResult: bad magic (not a CFIRSHD file)");
-  }
+  util::ByteReader in = read_blob_header(payload, kShardMagic, kShardVersion,
+                                         "ShardResult", "trace_tool run-shard");
   try {
-    util::ByteReader in(payload.data() + sizeof(kShardMagic),
-                        payload.size() - sizeof(kShardMagic));
-    const uint32_t version = in.u32();
-    const bool versioned_ok =
-        v1 ? version == 1u
-           : (version >= kShardVersionNoWall && version <= kShardVersion);
-    if (!versioned_ok) {
-      throw VersionError("ShardResult: unsupported version " +
-                         std::to_string(version));
-    }
-    const bool has_wall = !v1 && version >= 3u;
-    (void)in.u32();  // reserved
-
     ShardResult r;
     r.plan_hash = in.u64();
     r.shard_index = in.u32();
@@ -121,26 +100,18 @@ ShardResult ShardResult::deserialize(const std::vector<uint8_t>& payload) {
     r.plan_intervals = in.u32();
     r.total_insts = in.u64();
     r.ran_to_halt = in.boolean();
-    if (v1) {
-      // v1: one implicit config column; its hash was the combined
-      // manifest config hash and detailed_insts preceded warmed_insts.
-      const uint64_t detailed = in.u64();
-      r.warmed_insts = in.u64();
-      r.configs.push_back({std::string(), r.plan_hash, detailed});
-    } else {
-      r.warmed_insts = in.u64();
-      if (has_wall) r.warm_wall_us = in.u64();
-      const uint32_t nc = in.u32();
-      if (nc == 0 || nc > 4096) {
-        throw CorruptFileError("ShardResult: corrupt config column count " +
-                               std::to_string(nc));
-      }
-      r.configs.resize(nc);
-      for (ConfigColumn& cc : r.configs) {
-        cc.name = get_string(in, "ShardResult config name");
-        cc.config_hash = in.u64();
-        cc.detailed_insts = in.u64();
-      }
+    r.warmed_insts = in.u64();
+    r.warm_wall_us = in.u64();
+    const uint32_t nc = in.u32();
+    if (nc == 0 || nc > 4096) {
+      throw CorruptFileError("ShardResult: corrupt config column count " +
+                             std::to_string(nc));
+    }
+    r.configs.resize(nc);
+    for (ConfigColumn& cc : r.configs) {
+      cc.name = get_string(in, "ShardResult config name");
+      cc.config_hash = in.u64();
+      cc.detailed_insts = in.u64();
     }
     const uint32_t n = in.u32();
     r.intervals.resize(n);
@@ -150,21 +121,17 @@ ShardResult ShardResult::deserialize(const std::vector<uint8_t>& payload) {
       iv.length = in.u64();
       iv.warmup = in.u64();
       iv.weight = std::bit_cast<double>(in.u64());
-      iv.stats.reserve(r.configs.size());
-      for (size_t c = 0; c < r.configs.size(); ++c) {
+      iv.stats.reserve(nc);
+      for (size_t c = 0; c < nc; ++c) {
         iv.stats.push_back(stats::deserialize_stats(in));
       }
-      iv.wall_us.assign(r.configs.size(), 0);
-      if (has_wall) {
-        for (uint64_t& w : iv.wall_us) w = in.u64();
-      }
+      iv.wall_us.resize(nc);
+      for (uint64_t& w : iv.wall_us) w = in.u64();
     }
     if (!in.done()) {
       throw CorruptFileError("ShardResult: trailing bytes after intervals");
     }
     return r;
-  } catch (const VersionError&) {
-    throw;
   } catch (const CorruptFileError&) {
     throw;
   } catch (const std::exception&) {
@@ -177,8 +144,7 @@ void ShardResult::save(const std::string& path) const {
 }
 
 ShardResult ShardResult::load(const std::string& path) {
-  return deserialize(
-      read_blob_file(path, "ShardResult", /*require_footer=*/true));
+  return deserialize(read_blob_file(path, "ShardResult"));
 }
 
 namespace {
@@ -289,26 +255,21 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
   obs::Progress& progress = obs::Progress::global();
 
   // Functional warm state, per config: prefer the binding's per-interval
-  // blobs (bind_configs / CFIRMAN2 sidecars), then warm state attached to
-  // the plan's checkpoints (CFIRCKP2 / v1 manifest round trip — geometry
-  // checked on restore), and stream the committed prefixes of THIS shard's
-  // intervals for whatever is left — ONE shared pass for all remaining
-  // configs (capture_warm_states_grid trains each warm geometry once),
-  // because the committed stream is config-independent. A subset capture
+  // blobs (bind_configs / CFIRMAN2 sidecars), and stream the committed
+  // prefixes of THIS shard's intervals for whatever is left — ONE shared
+  // pass for all remaining configs (capture_warm_states_grid trains each
+  // warm geometry once), because the committed stream is
+  // config-independent. A subset capture
   // matches the full one bit for bit (warm state at instruction N does not
   // depend on which other snapshots the pass takes). `warmed_insts`
   // records the coverage once, however many configs shared the stream.
   const bool functional = warm_mode_has_functional_prefix(plan.warm_mode);
   std::vector<int> capture_slot(nc, -1);  // index into `captured`
   std::vector<std::vector<std::vector<uint8_t>>> captured;  // [slot][j]
-  bool checkpoints_warm = true;
-  for (const size_t i : mine) {
-    checkpoints_warm = checkpoints_warm && plan.checkpoints[i].has_warm();
-  }
   if (functional) {
     std::vector<core::CoreConfig> need;
     for (size_t c = 0; c < nc; ++c) {
-      if (configs[c].warm.empty() && !checkpoints_warm) {
+      if (configs[c].warm.empty()) {
         capture_slot[c] = static_cast<int>(need.size());
         need.push_back(configs[c].config);
       }
@@ -375,10 +336,8 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
         }
         if (functional) {
           const std::vector<uint8_t>& blob =
-              !configs[c].warm.empty()
-                  ? configs[c].warm[i]
-                  : (checkpoints_warm ? plan.checkpoints[i].warm
-                                      : captured[capture_slot[c]][j]);
+              !configs[c].warm.empty() ? configs[c].warm[i]
+                                       : captured[capture_slot[c]][j];
           if (blob.empty()) {
             throw std::runtime_error(
                 "run_shard: binding '" + configs[c].name +
@@ -446,14 +405,12 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
 
 ShardResult run_shard(const core::CoreConfig& config,
                       const isa::Program& program, const IntervalPlan& plan,
-                      ShardSelection shard, int threads,
-                      uint64_t config_hash) {
+                      ShardSelection shard, int threads) {
   ConfigBinding binding;
   binding.name = config.label();
   binding.config = config;
-  binding.config_hash = config_hash;  // 0 -> digest, else the legacy hash
   return run_shard(std::vector<ConfigBinding>{std::move(binding)}, program,
-                   plan, shard, threads, config_hash);
+                   plan, shard, threads);
 }
 
 MergedGrid merge_shard_grid(const std::vector<ShardResult>& shards) {

@@ -25,7 +25,7 @@
 //   | u64 plan_hash | u32 shard_index | u32 shard_count
 //   | u32 plan_intervals | u64 total_insts | u8 ran_to_halt
 //   | u64 warmed_insts            (shared streaming cost, counted once)
-//   | u64 warm_wall_us            (v3: host wall of the warm capture pass)
+//   | u64 warm_wall_us            (host wall of the warm capture pass)
 //   | u32 n_configs
 //   | n_configs x (u32 name_len | name bytes | u64 config_hash
 //                  | u64 detailed_insts)
@@ -33,15 +33,13 @@
 //   | n x (u32 plan_index | u64 start | u64 length | u64 warmup
 //          | u64 weight_bits(double) | n_configs x SimStats
 //            (stats::serialize)
-//          | n_configs x u64 wall_us   (v3: per-column detail wall))
+//          | n_configs x u64 wall_us   (per-column detail wall))
 //   | "CRC1" | u32 crc32
-// The v3 wall fields are host telemetry riding next to the simulated
-// stats — merge surfaces them (`merge --per-phase`) but they never enter
-// SimStats, so merged results stay bit-identical to pre-telemetry runs.
-// Version-2 files (no wall fields — they load as zeros) and version-1
-// files ("CFIRSHD1", one implicit config column whose hash was the
-// manifest's combined config hash) still load; save() always writes
-// version 3 under the "CFIRSHD2" magic.
+// The wall fields are host telemetry riding next to the simulated stats —
+// merge surfaces them (`merge --per-phase`) but they never enter SimStats,
+// so merged results stay bit-identical to pre-telemetry runs. Only this
+// generation loads; any other "CFIRSHD" magic or version is a
+// VersionError (re-run `trace_tool run-shard`).
 #pragma once
 
 #include <cstdint>
@@ -57,13 +55,8 @@
 namespace cfir::trace {
 
 inline constexpr char kShardMagic[8] = {'C', 'F', 'I', 'R',
-                                        'S', 'H', 'D', '1'};
-inline constexpr char kShardMagicV2[8] = {'C', 'F', 'I', 'R',
-                                          'S', 'H', 'D', '2'};
+                                        'S', 'H', 'D', '2'};
 inline constexpr uint32_t kShardVersion = 3;
-/// Oldest "CFIRSHD2"-magic version load() still accepts (v2 blobs predate
-/// the wall-time telemetry fields, which deserialize as zeros).
-inline constexpr uint32_t kShardVersionNoWall = 2;
 
 /// Shard `index` of `count`: the intervals whose plan index ≡ index
 /// (mod count). The default selection {0, 1} is the whole plan.
@@ -81,9 +74,8 @@ struct ShardSelection {
 [[nodiscard]] ShardSelection parse_shard(std::string_view spec);
 
 struct ShardResult {
-  /// Stamped from the manifest (0 in-process): the plan-structure hash for
-  /// v2 manifests, the combined config hash for legacy v1 ones. Merge
-  /// rejects mixtures either way.
+  /// Stamped from the manifest (0 in-process): its plan-structure hash.
+  /// Merge rejects mixtures.
   uint64_t plan_hash = 0;
   uint32_t shard_index = 0;
   uint32_t shard_count = 1;
@@ -95,7 +87,7 @@ struct ShardResult {
   /// amortization the grid path exists for (locked in tests/test_shard.cpp).
   uint64_t warmed_insts = 0;
   /// Host wall-clock of the shared warm-capture pass (telemetry; 0 when
-  /// warm state came precomputed or from a pre-v3 blob).
+  /// warm state came precomputed).
   uint64_t warm_wall_us = 0;
 
   /// One config column of the grid this shard executed.
@@ -116,8 +108,8 @@ struct ShardResult {
     /// column, in `configs` order.
     std::vector<stats::SimStats> stats;
     /// Host wall-clock of each column's detail simulation of this
-    /// interval (telemetry), in `configs` order. Empty (= all zero) on
-    /// results loaded from pre-v3 blobs; serialize treats empty as zeros.
+    /// interval (telemetry), in `configs` order. Serialize and merge treat
+    /// an empty vector as all zeros.
     std::vector<uint64_t> wall_us;
   };
   std::vector<Interval> intervals;
@@ -137,19 +129,17 @@ struct ShardResult {
 /// (interval × config) pairs (`threads` <= 0 picks CFIR_THREADS / hardware
 /// concurrency), warming per the plan's WarmMode. Functional warm state
 /// comes, per config, from the binding's per-interval blobs
-/// (bind_configs / CFIRMAN2 warm sidecars), else from warm state attached
-/// to the plan's checkpoints (CFIRCKP2 — single-config plans only), else
-/// from ONE shared capture pass for all remaining configs
-/// (capture_warm_states_grid: one trainer per warm geometry, stride lanes
-/// per policy). `plan_hash` is stamped into the result for merge-time
-/// validation; pass the manifest's hash when executing a manifest-derived
-/// plan. When `warm_trace` names a recorded trace of `program`, that
-/// shared capture pass streams the stored records instead of
-/// re-executing — on a CFIRTRC2 trace the shard then decodes only the
-/// blocks covering its own intervals + warming gaps (O(intervals), not
-/// O(prefix); observable via the `trace.blocks_read` counter), with blobs
-/// bit-identical to the engine pass. The trailing int is unused; it stays
-/// so existing callers that pass it keep compiling.
+/// (bind_configs / CFIRMAN2 warm sidecars), else from ONE shared capture
+/// pass for all remaining configs (capture_warm_states_grid: one trainer
+/// per warm geometry, stride lanes per policy). `plan_hash` is stamped
+/// into the result for merge-time validation; pass the manifest's hash
+/// when executing a manifest-derived plan. When `warm_trace` names a
+/// recorded trace of `program`, that shared capture pass streams the
+/// stored records instead of re-executing — on a CFIRTRC2 trace the shard
+/// then decodes only the blocks covering its own intervals + warming gaps
+/// (O(intervals), not O(prefix); observable via the `trace.blocks_read`
+/// counter), with blobs bit-identical to the engine pass. The trailing int
+/// is unused; it stays so existing callers that pass it keep compiling.
 [[nodiscard]] ShardResult run_shard(const std::vector<ConfigBinding>& configs,
                                     const isa::Program& program,
                                     const IntervalPlan& plan,
@@ -160,14 +150,12 @@ struct ShardResult {
                                     int /*unused*/ = -1);
 
 /// Single-config convenience: one binding named by the config's label,
-/// with `config_hash` (when non-zero) stamped as both the plan hash and
-/// the column hash — the legacy v1-manifest contract.
+/// hashed by CoreConfig::digest().
 [[nodiscard]] ShardResult run_shard(const core::CoreConfig& config,
                                     const isa::Program& program,
                                     const IntervalPlan& plan,
                                     ShardSelection shard = {},
-                                    int threads = 0,
-                                    uint64_t config_hash = 0);
+                                    int threads = 0);
 
 /// One config column of a merged grid: the per-interval + aggregate run
 /// this config would have produced single-config (bit-identical to it).

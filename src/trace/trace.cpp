@@ -100,8 +100,9 @@ TraceWriter::TraceWriter(const std::string& path, const TraceMeta& meta,
 
 TraceWriter::~TraceWriter() {
   if (!finished_ && out_.is_open()) {
-    // Unfinished traces keep the sentinel record count written at open, so
-    // TraceReader rejects them instead of reading a truncated stream.
+    // Unfinished traces keep the sentinel record count written at open and
+    // lack the CRC footer, so TraceReader rejects them instead of reading a
+    // truncated stream.
     out_.close();
   }
 }
@@ -195,9 +196,9 @@ TraceReader::TraceReader(const std::string& path)
   if (std::memcmp(magic, kTraceMagic, sizeof(magic)) != 0) {
     throw BadMagicError("TraceReader: bad magic in " + path);
   }
-  // Verify the CRC footer (when present) before decoding anything; the
-  // record stream below is bounded by record_count, so the footer bytes are
-  // never consumed as records.
+  // Verify the CRC footer before decoding anything; the record stream
+  // below is bounded by record_count, so the footer bytes are never
+  // consumed as records.
   verify_crc_footer(path, "TraceReader");
   const uint32_t version = get_raw<uint32_t>(in_);
   if (version != kTraceVersion) {
@@ -339,8 +340,7 @@ void TraceReader::seek_to(uint64_t inst_index) {
     return;
   }
   // v1 has no index: decode forward, rewinding first when the target is
-  // behind. Correct (and the reason the interface works on legacy files),
-  // just O(prefix).
+  // behind. Correct, just O(prefix).
   if (inst_index < read_) {
     in_.clear();
     in_.seekg(data_start_);

@@ -28,8 +28,8 @@
 // the header by TraceWriter::finish, so a trace file is self-validating:
 // replay can check the reconstructed architectural state without re-running
 // the original simulation. finish() then appends the shared CRC-32 footer
-// (trace/blob.hpp), verified by TraceReader at open; footer-less files
-// written before the footer existed still load.
+// (trace/blob.hpp), verified by TraceReader at open; a file without it is
+// rejected as truncated.
 //
 // Format, version 2 ("CFIRTRC2", the default writer format): the same
 // header (block capacity in the v1 reserved slot), then the record stream

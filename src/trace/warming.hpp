@@ -13,9 +13,9 @@
 // detailed run's commit-path training leaves behind (tests/
 // test_functional_warming.cpp locks this in per component); apply_to()
 // then copies that state into a freshly constructed Simulator before its
-// first cycle. Warm state also serializes to an opaque blob so it can ride
-// inside CFIRCKP2 checkpoints (trace/checkpoint.hpp) and warmed intervals
-// stay shardable across machines.
+// first cycle. Warm state also serializes to an opaque blob, written as a
+// per-(interval, config) warm sidecar (trace/manifest.hpp), so warmed
+// intervals stay shardable across machines.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,8 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over byte ranges.
 // Used as the integrity footer of every binary artifact the trace subsystem
-// writes (CFIRTRC1 / CFIRCKP / CFIRMAN1 / CFIRSHD1 — see
-// docs/trace-format.md "CRC footer"): a truncated or bit-flipped file is
+// writes (traces, CFIRCKP1 checkpoints, CFIRMAN2 manifests, warm sidecars,
+// CFIRSHD2 shard results — see docs/trace-format.md "CRC footer"), and by
+// CFIRTRC2 per block and index: a truncated or bit-flipped file is
 // rejected at open instead of decoding into garbage. The incremental form
 // (`seed` is a previous call's return value) lets callers checksum a file
 // in chunks without holding it in memory.

@@ -5,8 +5,8 @@
 //     tests compare a functionally warmed instance against one trained by
 //     detailed execution of the same committed prefix), and
 //   - serialize / deserialize its state as an opaque little-endian byte
-//     blob (trace::Checkpoint version 2 carries these blobs so warmed
-//     intervals can be shipped between machines). Tables go through the
+//     blob (warm sidecars carry these blobs so warmed intervals can be
+//     shipped between machines — trace/manifest.hpp). Tables go through the
 //     one sparse codec below (write_sparse_table / read_sparse_table), so
 //     a blob's size follows the live entries, not the table geometry.
 // The commit-order update methods themselves stay non-virtual on each

@@ -14,7 +14,9 @@
 //    acceptance matrix covers bzip2/parser/twolf s8 under functional
 //    warming for a 3-point register grid — while the shared streaming
 //    pass keeps grid warming cost within 1.1x of a single config's;
-//  - legacy v1 manifests still load (as 1-config manifests) and verify;
+//  - only the current generation of each blob loads: hand-built,
+//    CRC-valid files of a retired one (CFIRMAN1, CFIRSHD1, CFIRSHD2 v2)
+//    are VersionErrors, not silently reinterpreted;
 //  - mismatched plans/configs and incomplete/duplicate shard sets are
 //    rejected at merge time instead of silently skewing the aggregate.
 #include <gtest/gtest.h>
@@ -50,15 +52,10 @@ class TempFile {
   std::string path_;
 };
 
-/// A manifest written by either write_manifest overload plus its
-/// checkpoint blobs and warm sidecars, all removed on destruction.
+/// A manifest written by write_manifest plus its checkpoint blobs and
+/// warm sidecars, all removed on destruction.
 class TempManifest {
  public:
-  TempManifest(const IntervalPlan& plan, const core::CoreConfig& config,
-               const std::string& workload, uint32_t scale,
-               const std::string& tag)
-      : path_(::testing::TempDir() + "cfir_man_" + tag + ".cfirman"),
-        manifest_(write_manifest(plan, config, workload, scale, path_)) {}
   TempManifest(const IntervalPlan& plan,
                const std::vector<ConfigBinding>& bindings,
                const std::string& workload, uint32_t scale,
@@ -111,7 +108,6 @@ ShardManifest random_manifest(uint64_t seed) {
     m.configs[c].name = "cfg" + std::to_string(c);
     m.configs[c].config_hash = gen();
     m.configs[c].config = random_config(gen);
-    m.configs[c].embedded = true;
   }
   const size_t n = gen() % 8;
   m.intervals.resize(n);
@@ -177,14 +173,12 @@ TEST(ShardManifestBlob, FuzzSerializeDeserializeReserializeStable) {
     const ShardManifest m = random_manifest(seed);
     const std::vector<uint8_t> first = m.serialize();
     const ShardManifest loaded = ShardManifest::deserialize(first);
-    EXPECT_EQ(loaded.version, kManifestVersion) << "seed " << seed;
     EXPECT_EQ(loaded.workload, m.workload) << "seed " << seed;
     EXPECT_EQ(loaded.plan_hash, m.plan_hash) << "seed " << seed;
     ASSERT_EQ(loaded.configs.size(), m.configs.size()) << "seed " << seed;
     for (size_t c = 0; c < m.configs.size(); ++c) {
       EXPECT_EQ(loaded.configs[c].name, m.configs[c].name);
       EXPECT_EQ(loaded.configs[c].config_hash, m.configs[c].config_hash);
-      EXPECT_TRUE(loaded.configs[c].embedded);
       EXPECT_EQ(loaded.configs[c].config.digest(),
                 m.configs[c].config.digest())
           << "seed " << seed << " config " << c;
@@ -195,41 +189,39 @@ TEST(ShardManifestBlob, FuzzSerializeDeserializeReserializeStable) {
   }
 }
 
-TEST(ShardManifestBlob, V1LayoutRoundTripsByteStable) {
-  // A ShardManifest loaded from a legacy CFIRMAN1 file keeps version 1 and
-  // re-serializes to the same bytes — v1 artifacts survive tooling passes.
-  std::mt19937_64 gen(11);
-  ShardManifest m;
-  m.version = 1;
-  m.workload = "bzip2";
-  m.scale = 8;
-  m.plan_hash = gen();
-  m.mode = SampleMode::kCluster;
-  m.warm_mode = WarmMode::kFunctional;
-  m.warmup = 300;
-  m.total_insts = gen();
-  m.interval_len = 1000;
-  m.ran_to_halt = true;
-  ShardManifest::ConfigPoint cp;
-  cp.config_hash = m.plan_hash;
-  m.configs.push_back(cp);
-  m.intervals.resize(3);
-  for (size_t i = 0; i < 3; ++i) {
-    m.intervals[i].start = gen();
-    m.intervals[i].length = gen();
-    m.intervals[i].weight = static_cast<double>(gen() % 100) / 4.0;
-    m.intervals[i].checkpoint_file = "ck" + std::to_string(i) + ".cfirckpt";
+TEST(ShardManifestBlob, RetiredCfirman1IsAVersionError) {
+  // The single-config CFIRMAN1 layout, byte for byte: one combined config
+  // hash, no embedded configs, no warm sidecars.
+  util::ByteWriter out;
+  for (const char c : std::string("CFIRMAN1")) out.u8(static_cast<uint8_t>(c));
+  out.u32(1);  // version
+  out.u32(0);  // reserved
+  out.u64(0x1234'5678'9abc'def0ull);  // combined config hash
+  out.u8(static_cast<uint8_t>(SampleMode::kUniform));
+  out.u8(static_cast<uint8_t>(WarmMode::kFunctional));
+  out.u64(0);      // warmup
+  out.u64(40000);  // total_insts
+  out.u64(0);      // interval_len
+  out.boolean(false);
+  out.u32(1);  // scale
+  put_string(out, "bzip2");
+  out.u32(1);  // one interval
+  out.u64(0);
+  out.u64(40000);
+  out.u64(std::bit_cast<uint64_t>(1.0));
+  put_string(out, "bzip2.s1.ck0.cfirckpt");
+  // CRC-valid, so the header — not the integrity footer — must reject it.
+  TempFile file("man_v1");
+  write_blob_file(file.path(), out.data());
+  try {
+    (void)ShardManifest::load(file.path());
+    FAIL() << "a CFIRMAN1 manifest was accepted";
+  } catch (const VersionError& e) {
+    // The message tells the user how to regenerate the file.
+    EXPECT_NE(std::string(e.what()).find("trace_tool plan"),
+              std::string::npos)
+        << e.what();
   }
-  const std::vector<uint8_t> first = m.serialize();
-  ASSERT_GE(first.size(), 8u);
-  EXPECT_EQ(std::string(first.begin(), first.begin() + 8), "CFIRMAN1");
-  const ShardManifest loaded = ShardManifest::deserialize(first);
-  EXPECT_EQ(loaded.version, 1u);
-  ASSERT_EQ(loaded.configs.size(), 1u);
-  EXPECT_EQ(loaded.configs[0].config_hash, m.plan_hash);
-  EXPECT_FALSE(loaded.configs[0].embedded);
-  EXPECT_TRUE(loaded.intervals[0].warm_files.empty());
-  EXPECT_EQ(loaded.serialize(), first);
 }
 
 TEST(ShardManifestBlob, FileRoundTripVerifiesCrc) {
@@ -306,29 +298,35 @@ TEST(ShardResultBlob, FuzzSerializeDeserializeReserializeStable) {
   }
 }
 
-// A version-2 blob (pre wall-telemetry) must still load, with every wall
-// field zero: hosts in a farm upgrade at different times, and the merged
-// SimStats never depended on the wall fields anyway.
-TEST(ShardResultBlob, Version2BlobLoadsWithZeroWallFields) {
-  const ShardResult r = random_shard_result(7);
+/// The CFIRSHD2 layout without the wall-clock fields (version 2); with
+/// `v1`, the CFIRSHD1 layout instead (one implicit config column,
+/// detailed_insts ahead of warmed_insts).
+util::ByteWriter retired_shard_blob(const ShardResult& r, bool v1) {
   util::ByteWriter out;
-  for (const char c : kShardMagicV2) out.u8(static_cast<uint8_t>(c));
-  out.u32(kShardVersionNoWall);
-  out.u32(0);  // reserved
+  for (const char c : std::string(v1 ? "CFIRSHD1" : "CFIRSHD2")) {
+    out.u8(static_cast<uint8_t>(c));
+  }
+  out.u32(v1 ? 1 : 2);  // version
+  out.u32(0);           // reserved
   out.u64(r.plan_hash);
   out.u32(r.shard_index);
   out.u32(r.shard_count);
   out.u32(r.plan_intervals);
   out.u64(r.total_insts);
   out.boolean(r.ran_to_halt);
-  out.u64(r.warmed_insts);
-  // v2 layout: no warm_wall_us here.
-  out.u32(static_cast<uint32_t>(r.configs.size()));
-  for (const auto& cc : r.configs) {
-    put_string(out, cc.name);
-    out.u64(cc.config_hash);
-    out.u64(cc.detailed_insts);
+  if (v1) {
+    out.u64(r.configs[0].detailed_insts);
+    out.u64(r.warmed_insts);
+  } else {
+    out.u64(r.warmed_insts);
+    out.u32(static_cast<uint32_t>(r.configs.size()));
+    for (const auto& cc : r.configs) {
+      put_string(out, cc.name);
+      out.u64(cc.config_hash);
+      out.u64(cc.detailed_insts);
+    }
   }
+  const size_t columns = v1 ? 1 : r.configs.size();
   out.u32(static_cast<uint32_t>(r.intervals.size()));
   for (const auto& iv : r.intervals) {
     out.u32(iv.plan_index);
@@ -336,21 +334,23 @@ TEST(ShardResultBlob, Version2BlobLoadsWithZeroWallFields) {
     out.u64(iv.length);
     out.u64(iv.warmup);
     out.u64(std::bit_cast<uint64_t>(iv.weight));
-    for (const stats::SimStats& st : iv.stats) stats::serialize(st, out);
-    // v2 layout: no per-(interval, config) wall_us here.
+    for (size_t c = 0; c < columns; ++c) stats::serialize(iv.stats[c], out);
   }
+  return out;
+}
 
-  const ShardResult loaded = ShardResult::deserialize(out.take());
-  EXPECT_EQ(loaded.plan_hash, r.plan_hash);
-  EXPECT_EQ(loaded.warmed_insts, r.warmed_insts);
-  EXPECT_EQ(loaded.warm_wall_us, 0u);
-  ASSERT_EQ(loaded.intervals.size(), r.intervals.size());
-  for (size_t i = 0; i < r.intervals.size(); ++i) {
-    ASSERT_EQ(loaded.intervals[i].wall_us.size(), r.configs.size());
-    for (const uint64_t w : loaded.intervals[i].wall_us) EXPECT_EQ(w, 0u);
-    for (size_t c = 0; c < r.configs.size(); ++c) {
-      EXPECT_EQ(stats::to_json(loaded.intervals[i].stats[c]),
-                stats::to_json(r.intervals[i].stats[c]));
+TEST(ShardResultBlob, RetiredGenerationsAreVersionErrors) {
+  const ShardResult r = random_shard_result(7);
+  for (const bool v1 : {true, false}) {
+    TempFile file(v1 ? "shd_v1" : "shd_v2");
+    write_blob_file(file.path(), retired_shard_blob(r, v1).data());
+    try {
+      (void)ShardResult::load(file.path());
+      FAIL() << (v1 ? "CFIRSHD1" : "CFIRSHD2 v2") << " blob was accepted";
+    } catch (const VersionError& e) {
+      EXPECT_NE(std::string(e.what()).find("trace_tool run-shard"),
+                std::string::npos)
+          << e.what();
     }
   }
 }
@@ -364,10 +364,11 @@ TEST(ShardResultBlob, WrongKindAndVersionRejected) {
   std::vector<uint8_t> vers = payload;
   vers[8] = 99;
   EXPECT_THROW((void)ShardResult::deserialize(vers), VersionError);
-  // A CFIRSHD1 magic claiming version 2 is inconsistent, and vice versa.
-  std::vector<uint8_t> mixed = payload;
-  mixed[7] = '1';
-  EXPECT_THROW((void)ShardResult::deserialize(mixed), VersionError);
+  // Any other generation of the family is a version error too, whatever
+  // version word follows the magic.
+  std::vector<uint8_t> retired = payload;
+  retired[7] = '1';
+  EXPECT_THROW((void)ShardResult::deserialize(retired), VersionError);
   payload.resize(payload.size() / 2);
   EXPECT_THROW((void)ShardResult::deserialize(payload), CorruptFileError);
 }
@@ -443,8 +444,7 @@ TEST(ShardedRun, SerializedShardsMergeBitIdentical) {
   opts.warm_mode = WarmMode::kFunctional;
   opts.detail_len = 1500;
   opts.max_insts = 40000;
-  IntervalPlan plan = plan_cluster_intervals(program, opts);
-  attach_warm_states(plan, config, program);
+  const IntervalPlan plan = plan_cluster_intervals(program, opts);
   const SampledRun reference = sampled_run(config, program, plan);
 
   std::vector<ShardResult> shards;
@@ -456,53 +456,6 @@ TEST(ShardedRun, SerializedShardsMergeBitIdentical) {
     shards.push_back(ShardResult::load(file.path()));
   }
   expect_same_run(merge_shard_results(shards), reference, "wire");
-}
-
-TEST(ShardedRun, V1ManifestRoundTripRunsBitIdentical) {
-  // Legacy plan layer to disk and back: a plan reloaded from a v1 manifest
-  // (warm state riding in the CFIRCKP2 checkpoints, config supplied by the
-  // executor) must reproduce the in-memory plan's sampled run exactly, and
-  // the combined config hash must accept the planning config and reject
-  // others — the "v1 manifests still load" contract.
-  const core::CoreConfig config = sim::presets::ci(2, 512);
-  const isa::Program program = workloads::build("twolf", 1);
-
-  ClusterPlanOptions opts;
-  opts.n_intervals = 8;
-  opts.max_k = 3;
-  opts.warm_mode = WarmMode::kHybrid;
-  opts.warmup = 300;
-  opts.detail_len = 1500;
-  opts.max_insts = 40000;
-  IntervalPlan plan = plan_cluster_intervals(program, opts);
-  attach_warm_states(plan, config, program);
-  const SampledRun reference = sampled_run(config, program, plan);
-
-  TempManifest tm(plan, config, "twolf", 1, "roundtrip");
-  EXPECT_EQ(tm.manifest().version, 1u);
-  const ShardManifest manifest = ShardManifest::load(tm.path());
-  EXPECT_EQ(manifest.version, 1u);
-  EXPECT_EQ(manifest.plan_hash, tm.manifest().plan_hash);
-  ASSERT_EQ(manifest.configs.size(), 1u);
-  EXPECT_FALSE(manifest.configs[0].embedded);
-  EXPECT_THROW((void)bindings_from_manifest(manifest, tm.path()),
-               VersionError);
-
-  const IntervalPlan reloaded = plan_from_manifest(manifest, tm.path());
-  verify_manifest_config(manifest, config, reloaded);  // must not throw
-
-  core::CoreConfig other = config;
-  other.num_phys_regs = 256;
-  EXPECT_THROW(verify_manifest_config(manifest, other, reloaded),
-               ConfigMismatchError);
-
-  std::vector<ShardResult> shards;
-  for (uint32_t i = 0; i < 2; ++i) {
-    shards.push_back(run_shard(config, program, reloaded,
-                               ShardSelection{i, 2}, /*threads=*/0,
-                               manifest.plan_hash));
-  }
-  expect_same_run(merge_shard_results(shards), reference, "manifest");
 }
 
 TEST(ShardedRun, MergeRejectsIncompleteDuplicateAndMismatched) {
@@ -662,12 +615,12 @@ void expect_grid_acceptance(const std::string& workload) {
 
   TempManifest tm(plan, bindings, workload, 8, "grid_" + workload);
   const ShardManifest manifest = ShardManifest::load(tm.path());
-  EXPECT_EQ(manifest.version, kManifestVersion);
   ASSERT_EQ(manifest.configs.size(), points.size());
   for (size_t c = 0; c < points.size(); ++c) {
     EXPECT_EQ(manifest.configs[c].name, points[c].first);
     EXPECT_EQ(manifest.configs[c].config_hash, points[c].second.digest());
-    EXPECT_TRUE(manifest.configs[c].embedded);
+    EXPECT_EQ(manifest.configs[c].config.digest(),
+              points[c].second.digest());
   }
 
   const IntervalPlan reloaded = plan_from_manifest(manifest, tm.path());

@@ -21,6 +21,7 @@
 #include "sim/presets.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
+#include "trace/blob.hpp"
 #include "trace/checkpoint.hpp"
 #include "trace/errors.hpp"
 #include "trace/sampling.hpp"
@@ -128,39 +129,12 @@ TEST(TraceFormat, CrcFooterRejectsBitFlips) {
   EXPECT_THROW(TraceReader{file.path()}, CorruptFileError);
 }
 
-TEST(TraceFormat, LegacyFooterlessFileStillLoads) {
-  // Files written before the CRC footer existed end right after the last
-  // record; stripping the footer must leave a loadable (legacy) file.
+TEST(TraceFormat, FooterlessV1TraceIsCorrupt) {
+  // Every writer appends the CRC footer last, so a CFIRTRC1 file that ends
+  // without one is a copy that lost its tail — rejected at open, never
+  // decoded without an integrity check.
   const isa::Program program = cfir::testing::figure1_program(64, 50, 6);
-  TempFile file("legacy");
-  TraceMeta meta;
-  meta.workload = "figure1";
-  // Footer-less files are a v1-era artifact; CFIRTRC2 has carried the
-  // footer from day one, so the legacy path is pinned to the v1 writer.
-  const isa::InterpResult r = record_interpreter(
-      program, file.path(), meta, UINT64_MAX, TraceFormat::kV1);
-
-  std::vector<uint8_t> bytes = file_bytes(file.path());
-  bytes.resize(bytes.size() - 8);  // drop "CRC1" + u32
-  {
-    std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
-  TraceReader reader(file.path());
-  EXPECT_EQ(reader.record_count(), r.executed);
-  TraceRecord rec;
-  uint64_t n = 0;
-  while (reader.next(rec)) ++n;
-  EXPECT_EQ(n, r.executed);
-}
-
-TEST(TraceFormat, StrictBlobsRejectsLegacyFooterlessFiles) {
-  // CFIR_STRICT_BLOBS=1 turns the one-time legacy warning into a hard
-  // CorruptFileError — a fleet of post-CRC artifacts treats a missing
-  // footer as truncation, not as age.
-  const isa::Program program = cfir::testing::figure1_program(64, 50, 7);
-  TempFile file("strict");
+  TempFile file("nofooter");
   TraceMeta meta;
   meta.workload = "figure1";
   (void)record_interpreter(program, file.path(), meta, UINT64_MAX,
@@ -173,10 +147,7 @@ TEST(TraceFormat, StrictBlobsRejectsLegacyFooterlessFiles) {
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
   }
-  ASSERT_EQ(setenv("CFIR_STRICT_BLOBS", "1", 1), 0);
   EXPECT_THROW(TraceReader{file.path()}, CorruptFileError);
-  ASSERT_EQ(unsetenv("CFIR_STRICT_BLOBS"), 0);
-  EXPECT_NO_THROW(TraceReader{file.path()});
 }
 
 TEST(TraceFormat, RandomProgramsRoundTrip) {
@@ -339,7 +310,7 @@ TEST(TraceFormat, FuzzRandomRecordStreamsRoundTrip) {
 }
 
 namespace {
-Checkpoint random_checkpoint(uint64_t seed, bool with_warm) {
+Checkpoint random_checkpoint(uint64_t seed) {
   std::mt19937_64 gen(seed);
   Checkpoint ck;
   ck.pc = gen();
@@ -354,50 +325,89 @@ Checkpoint random_checkpoint(uint64_t seed, bool with_warm) {
     for (size_t b = 0; b < fill; ++b) page[b] = static_cast<uint8_t>(gen());
     ck.memory.write_block(base, page.data(), page.size());
   }
-  if (with_warm) {
-    ck.warm.resize(64 + gen() % 4096);
-    for (auto& b : ck.warm) b = static_cast<uint8_t>(gen());
-  }
   return ck;
+}
+
+void write_file(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 }  // namespace
 
 TEST(Checkpoint, FuzzSerializeDeserializeReserializeStable) {
-  // save -> load -> save must be byte-identical, for cold (CFIRCKP1) and
-  // warm (CFIRCKP2) checkpoints alike: shards exchanged between machines
-  // must not mutate in flight.
+  // save -> load -> save must be byte-identical: shards exchanged between
+  // machines must not mutate in flight.
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    for (const bool with_warm : {false, true}) {
-      const Checkpoint ck = random_checkpoint(seed, with_warm);
-      TempFile first("ckfz_a" + std::to_string(seed) + (with_warm ? "w" : ""));
-      TempFile second("ckfz_b" + std::to_string(seed) + (with_warm ? "w" : ""));
-      ck.save(first.path());
-      const Checkpoint loaded = Checkpoint::load(first.path());
-      EXPECT_EQ(loaded.pc, ck.pc);
-      EXPECT_EQ(loaded.executed, ck.executed);
-      EXPECT_EQ(loaded.regs, ck.regs);
-      EXPECT_EQ(loaded.memory.digest(), ck.memory.digest());
-      EXPECT_EQ(loaded.warm, ck.warm);
-      EXPECT_EQ(loaded.has_warm(), with_warm);
-      loaded.save(second.path());
-      EXPECT_EQ(file_bytes(first.path()), file_bytes(second.path()))
-          << "seed " << seed << " warm " << with_warm;
-    }
+    const Checkpoint ck = random_checkpoint(seed);
+    TempFile first("ckfz_a" + std::to_string(seed));
+    TempFile second("ckfz_b" + std::to_string(seed));
+    ck.save(first.path());
+    const Checkpoint loaded = Checkpoint::load(first.path());
+    EXPECT_EQ(loaded.pc, ck.pc);
+    EXPECT_EQ(loaded.executed, ck.executed);
+    EXPECT_EQ(loaded.regs, ck.regs);
+    EXPECT_EQ(loaded.memory.digest(), ck.memory.digest());
+    loaded.save(second.path());
+    EXPECT_EQ(file_bytes(first.path()), file_bytes(second.path()))
+        << "seed " << seed;
   }
 }
 
 TEST(Checkpoint, TruncatedWarmStateFailsLoudly) {
-  const Checkpoint ck = random_checkpoint(3, /*with_warm=*/true);
+  // Losing the tail of a checkpoint — where the warm payload of the
+  // retired CFIRCKP2 generation sat, and where the last page sits now —
+  // must fail loudly: without its footer the file is corrupt, and with a
+  // footer recomputed over the short payload the page structure is.
+  const Checkpoint ck = random_checkpoint(3);
   TempFile file("cktrunc");
   ck.save(file.path());
   std::vector<uint8_t> bytes = file_bytes(file.path());
-  bytes.resize(bytes.size() - ck.warm.size() / 2);
-  {
-    std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+  ASSERT_GT(bytes.size(), kCrcFooterBytes + mem::MainMemory::kPageSize);
+  bytes.resize(bytes.size() - kCrcFooterBytes -
+               mem::MainMemory::kPageSize / 2);
+  write_file(file.path(), bytes);
+  EXPECT_THROW(Checkpoint::load(file.path()), CorruptFileError);
+  write_blob_file(file.path(), bytes);
+  EXPECT_THROW(Checkpoint::load(file.path()), CorruptFileError);
+}
+
+TEST(Checkpoint, FooterlessCheckpointIsCorrupt) {
+  // An interrupted copy that stops right after the payload looks exactly
+  // like this: intact pages, no footer. It must not load.
+  const Checkpoint ck = random_checkpoint(5);
+  TempFile file("cknofooter");
+  ck.save(file.path());
+  std::vector<uint8_t> bytes = file_bytes(file.path());
+  bytes.resize(bytes.size() - kCrcFooterBytes);
+  write_file(file.path(), bytes);
+  EXPECT_THROW(Checkpoint::load(file.path()), CorruptFileError);
+}
+
+TEST(Checkpoint, RetiredCfirckp2IsAVersionError) {
+  // The CFIRCKP2 layout: a cold checkpoint plus an embedded warm blob
+  // (u64 size | bytes) after the pages, with a valid CRC footer.
+  const Checkpoint ck = random_checkpoint(7);
+  TempFile file("ckv2");
+  ck.save(file.path());
+  std::vector<uint8_t> bytes = file_bytes(file.path());
+  bytes.resize(bytes.size() - kCrcFooterBytes);
+  bytes[7] = '2';
+  bytes[8] = 2;  // u32 version, little-endian
+  const std::vector<uint8_t> warm = {'W', 'R', 'M', '2', 0};
+  const uint64_t warm_size = warm.size();
+  const auto* size_bytes = reinterpret_cast<const uint8_t*>(&warm_size);
+  bytes.insert(bytes.end(), size_bytes, size_bytes + sizeof(warm_size));
+  bytes.insert(bytes.end(), warm.begin(), warm.end());
+  write_blob_file(file.path(), bytes);
+  try {
+    (void)Checkpoint::load(file.path());
+    FAIL() << "a CFIRCKP2 checkpoint was accepted";
+  } catch (const VersionError& e) {
+    EXPECT_NE(std::string(e.what()).find("trace_tool plan"),
+              std::string::npos)
+        << e.what();
   }
-  EXPECT_THROW(Checkpoint::load(file.path()), std::runtime_error);
 }
 
 TEST(Checkpoint, SaveLoadRoundTrip) {
@@ -621,34 +631,6 @@ TEST(SampledRun, DetailCapScalesWeightsAndCutsCost) {
   const double est = static_cast<double>(run.aggregate.committed);
   const double truth = static_cast<double>(capped_plan.total_insts);
   EXPECT_NEAR(est, truth, 0.01 * truth);
-}
-
-TEST(SampledRun, FunctionalWarmStatesAttachAndShard) {
-  // attach_warm_states embeds per-interval warm blobs; a plan whose
-  // checkpoints round-trip through CFIRCKP2 files must produce the exact
-  // same sampled run (shardability).
-  const isa::Program program = workloads::build("twolf", 2);
-  const core::CoreConfig config = sim::presets::ci(2, 512);
-  IntervalPlan plan = plan_intervals(program, 3, 0, 0, WarmMode::kFunctional);
-  const SampledRun before = sampled_run(config, program, plan);
-
-  attach_warm_states(plan, config, program);
-  for (const Checkpoint& ck : plan.checkpoints) {
-    EXPECT_TRUE(ck.has_warm());
-  }
-  // Round-trip every checkpoint through its v2 file form.
-  for (Checkpoint& ck : plan.checkpoints) {
-    TempFile file("shard");
-    ck.save(file.path());
-    ck = Checkpoint::load(file.path());
-    EXPECT_TRUE(ck.has_warm());
-  }
-  const SampledRun after = sampled_run(config, program, plan);
-  EXPECT_EQ(before.aggregate.cycles, after.aggregate.cycles);
-  EXPECT_EQ(before.aggregate.committed, after.aggregate.committed);
-  EXPECT_EQ(before.aggregate.mispredicts, after.aggregate.mispredicts);
-  EXPECT_EQ(before.aggregate.l1d_misses, after.aggregate.l1d_misses);
-  EXPECT_EQ(before.warmed_insts, after.warmed_insts);
 }
 
 TEST(SampledRun, RunAllIntervalsFieldAggregates) {

@@ -7,8 +7,8 @@
 //  - structural validation: every malformed table (count, index, gap,
 //    varint, truncation) is rejected with CorruptFileError before any
 //    out-of-range write (the suite runs under ASan+UBSan in CI);
-//  - typed rejection of stale WRM1 blobs (VersionError, exit code 4) on
-//    both carriers, .cfirwarm sidecars and CFIRCKP2 payloads;
+//  - typed rejection of stale WRM1 blobs (VersionError, exit code 4) in
+//    their one carrier, the .cfirwarm sidecar;
 //  - a deterministic size guard: byte counts, never timing.
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 
 #include "sim/presets.hpp"
 #include "trace/blob.hpp"
-#include "trace/checkpoint.hpp"
 #include "trace/errors.hpp"
 #include "trace/manifest.hpp"
 #include "trace/sampling.hpp"
@@ -389,21 +388,6 @@ TEST(WarmCodec, StaleWrm1SidecarIsAVersionError) {
   write_blob_file(sidecar, good);
   EXPECT_NO_THROW((void)run_shard(
       bindings_from_manifest(manifest, dir.path()), program, reloaded));
-}
-
-TEST(WarmCodec, StaleWrm1CheckpointPayloadIsAVersionError) {
-  const isa::Program program = workloads::build("bzip2", 1);
-  const core::CoreConfig config = sim::presets::ci(2, 256);
-  IntervalPlan plan =
-      plan_intervals(program, 2, 20000, 0, WarmMode::kFunctional, 2000);
-  attach_warm_states(plan, config, program);
-  plan.checkpoints[0].warm = with_magic(plan.checkpoints[0].warm, '1');
-  TempPlanDir dir("ckpt");
-  dir.written = write_manifest(plan, config, "bzip2", 1, dir.path());
-  const ShardManifest manifest = ShardManifest::load(dir.path());
-  const IntervalPlan reloaded = plan_from_manifest(manifest, dir.path());
-  ASSERT_TRUE(reloaded.checkpoints[0].has_warm());
-  EXPECT_THROW((void)run_shard(config, program, reloaded), VersionError);
 }
 
 // --- Deterministic size guard (byte counts, not timing) --------------------
