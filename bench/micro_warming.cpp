@@ -21,11 +21,27 @@
 // Bit-identity between the two columns is locked in
 // tests/test_warming_pipeline.cpp; here the blobs are compared anyway as a
 // cheap tripwire.
+//
+// A second table attributes the warm-capture layer on the end-to-end
+// benchmark's SMARTS shape — bzip2 s32, parser s32 and twolf s64, capped
+// at 2.56M instructions, the scal/wb/ci/vect :2:256 grid, 32 evenly
+// spaced targets — in three rows per program:
+//
+//   decode     span reads over the whole CFIRTRC2 trace, no training:
+//              what reading the trace costs per record
+//   trace-fed  capture_warm_states_grid streaming the trace
+//   engine-fed capture_warm_states_grid re-executing the program on the
+//              functional engine instead
+//
+// so "is trace-fed warming cheaper than re-execution?" is one column
+// (trace/engine) and the decode share of it another. Under CFIR_JSON=1
+// each row is a line with mode "decode", "trace_fed" or "engine_fed".
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -86,15 +102,32 @@ Blobs solo_captures(const std::vector<core::CoreConfig>& configs,
   return out;
 }
 
-void emit_json(const std::string& workload, size_t n_configs,
+void emit_json(const std::string& workload, uint32_t scale, size_t n_configs,
                const char* mode, const Cell& cell) {
   if (!bench::json_requested()) return;
   std::printf("{\"bench\":\"micro_warming\",\"workload\":\"%s\","
-              "\"configs\":%zu,\"mode\":\"%s\",\"insts\":%llu,"
-              "\"wall_us\":%.1f,\"warm_insts_per_sec\":%.1f}\n",
-              workload.c_str(), n_configs, mode,
+              "\"scale\":%u,\"configs\":%zu,\"mode\":\"%s\","
+              "\"insts\":%llu,\"wall_us\":%.1f,"
+              "\"warm_insts_per_sec\":%.1f}\n",
+              workload.c_str(), scale, n_configs, mode,
               static_cast<unsigned long long>(cell.insts), cell.best_us,
               cell.warm_insts_per_sec());
+}
+
+/// Where decode_only leaves its checksum, so the decode is not optimized
+/// away.
+volatile uint64_t g_decode_sink = 0;
+
+/// Reads every record through span reads, no training.
+void decode_only(trace::TraceReader& reader) {
+  uint64_t fold = 0;
+  const trace::TraceRecord* span = nullptr;
+  while (const size_t n = reader.read_span(span, UINT64_MAX)) {
+    for (size_t i = 0; i < n; ++i) {
+      fold = fold * 31 + (span[i].pc ^ span[i].addr);
+    }
+  }
+  g_decode_sink = fold;
 }
 
 std::string temp_trace_path() {
@@ -169,16 +202,78 @@ int main() {
                 shared.warm_insts_per_sec() / 1e6,
                 solo.warm_insts_per_sec() / 1e6,
                 solo.best_us / shared.best_us);
-    emit_json(workload, configs.size(), "shared", shared);
-    emit_json(workload, configs.size(), "solo_sum", solo);
+    emit_json(workload, scale, configs.size(), "shared", shared);
+    emit_json(workload, scale, configs.size(), "solo_sum", solo);
   }
+  std::remove(path.c_str());
+
+  // Layer attribution on the end-to-end SMARTS shape.
+  const std::vector<core::CoreConfig> smarts = {
+      sim::presets::scal(2, 256), sim::presets::wb(2, 256),
+      sim::presets::ci(2, 256), sim::presets::vect(2, 256)};
+  std::printf("\nwarm-capture layer, ms (%zu-config grid, 32 targets, "
+              "2.56M-inst cap, best of %d)\n",
+              smarts.size(), repeats);
+  std::printf("%-7s %5s %9s | %8s %6s | %9s %10s | %11s\n", "program",
+              "scale", "records", "decode", "ns/rec", "trace-fed",
+              "engine-fed", "trace/engine");
+  for (const auto& [name, prog_scale] :
+       {std::pair<const char*, uint32_t>{"bzip2", 32}, {"parser", 32},
+        {"twolf", 64}}) {
+    const isa::Program prog = workloads::build(name, prog_scale);
+    const std::string trace_path = temp_trace_path();
+    trace::TraceMeta m;
+    m.workload = name;
+    m.scale = prog_scale;
+    trace::record_interpreter(prog, trace_path, m, 2'560'000,
+                              trace::TraceFormat::kV2);
+    uint64_t records = 0;
+    {
+      trace::TraceReader reader(trace_path);
+      records = reader.record_count();
+    }
+    std::vector<uint64_t> grid_targets;
+    for (uint64_t i = 1; i <= 32; ++i) {
+      grid_targets.push_back(records * i / 32);
+    }
+    Blobs trace_blobs;
+    Blobs engine_blobs;
+    const Cell decode = best_of(trace_path, repeats, trace_blobs,
+                                [&](trace::TraceReader& reader) {
+                                  decode_only(reader);
+                                  return Blobs{};
+                                });
+    const Cell traced = best_of(trace_path, repeats, trace_blobs,
+                                [&](trace::TraceReader& reader) {
+                                  return trace::capture_warm_states_grid(
+                                      smarts, prog, reader, grid_targets);
+                                });
+    const Cell engine = best_of(trace_path, repeats, engine_blobs,
+                                [&](trace::TraceReader&) {
+                                  return trace::capture_warm_states_grid(
+                                      smarts, prog, grid_targets);
+                                });
+    if (trace_blobs != engine_blobs) {
+      std::fprintf(stderr, "%s: trace-fed blobs differ from engine-fed?\n",
+                   name);
+    }
+    std::printf("%-7s %5u %9llu | %8.1f %6.1f | %9.1f %10.1f | %10.2fx\n",
+                name, prog_scale, static_cast<unsigned long long>(records),
+                decode.best_us / 1e3,
+                decode.best_us * 1e3 / static_cast<double>(records),
+                traced.best_us / 1e3, engine.best_us / 1e3,
+                traced.best_us / engine.best_us);
+    emit_json(name, prog_scale, 0, "decode", decode);
+    emit_json(name, prog_scale, smarts.size(), "trace_fed", traced);
+    emit_json(name, prog_scale, smarts.size(), "engine_fed", engine);
+    std::remove(trace_path.c_str());
+  }
+
   if (bench::json_requested()) {
     std::printf("{\"telemetry\":true,\"bench\":\"micro_warming\","
                 "\"wall_ms\":%.3f,\"metrics\":%s}\n",
                 static_cast<double>(bench_clock.elapsed_us()) / 1e3,
                 obs::Registry::instance().to_json().c_str());
   }
-
-  std::remove(path.c_str());
   return 0;
 }

@@ -407,7 +407,12 @@ bool parse_plan_args(int argc, char** argv, PlanArgs& out) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--warm-mode=", 0) == 0) {
-      out.warm_mode = trace::parse_warm_mode(arg.substr(12));
+      try {
+        out.warm_mode = trace::parse_warm_mode(arg.substr(12));
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "trace_tool: %s\n", e.what());
+        return false;
+      }
     } else if (arg.rfind("--detail=", 0) == 0) {
       if (!parse_number("--detail", arg.substr(9), out.detail_len)) {
         return false;

@@ -52,7 +52,10 @@ uint64_t env_warmup() { return env_u64("CFIR_WARMUP", 0); }
 
 trace::WarmMode env_warm_mode() {
   const char* v = std::getenv("CFIR_WARM_MODE");
-  return trace::parse_warm_mode(v == nullptr ? "" : v);
+  // Unset or empty keeps the default, like every other CFIR_* knob; the
+  // parser itself takes only the four mode names.
+  if (v == nullptr || *v == '\0') return trace::WarmMode::kDetailed;
+  return trace::parse_warm_mode(v);
 }
 
 uint64_t env_detail_len() { return env_u64("CFIR_DETAIL_LEN", 0); }

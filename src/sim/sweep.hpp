@@ -116,7 +116,7 @@ void parallel_for(size_t n, const std::function<void(size_t)>& fn,
 [[nodiscard]] trace::SampleMode env_sample_mode();
 [[nodiscard]] uint64_t env_warmup();     ///< CFIR_WARMUP, default 0
 /// CFIR_WARM_MODE ("none" | "detailed" | "functional" | "hybrid"), default
-/// detailed; typos throw (see trace::parse_warm_mode).
+/// detailed when unset or empty; typos throw (see trace::parse_warm_mode).
 [[nodiscard]] trace::WarmMode env_warm_mode();
 [[nodiscard]] uint64_t env_detail_len();  ///< CFIR_DETAIL_LEN, default 0
 /// CFIR_ENGINE ("switch" | "cached"), default cached: which functional

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <memory>
 #include <stdexcept>
 
@@ -19,25 +20,24 @@
 namespace cfir::trace {
 
 ShardSelection parse_shard(std::string_view spec) {
+  // Both sides are plain decimal digits: from_chars takes no whitespace or
+  // sign, and the whole side must be consumed ("1/2x", " 1/2", "+1/2").
+  const auto parse_side = [&](std::string_view text, uint32_t& out) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    if (text.empty() || ec != std::errc{} || ptr != end) {
+      throw std::runtime_error("parse_shard: expected 'i/N', got '" +
+                               std::string(spec) + "'");
+    }
+  };
   const size_t slash = spec.find('/');
-  if (slash == std::string_view::npos || slash == 0 ||
-      slash + 1 >= spec.size()) {
+  if (slash == std::string_view::npos) {
     throw std::runtime_error("parse_shard: expected 'i/N', got '" +
                              std::string(spec) + "'");
   }
   ShardSelection sel;
-  size_t pos = 0;
-  try {
-    sel.index = static_cast<uint32_t>(
-        std::stoul(std::string(spec.substr(0, slash)), &pos));
-    if (pos != slash) throw std::invalid_argument("trailing");
-    sel.count = static_cast<uint32_t>(
-        std::stoul(std::string(spec.substr(slash + 1)), &pos));
-    if (pos != spec.size() - slash - 1) throw std::invalid_argument("trail");
-  } catch (const std::logic_error&) {
-    throw std::runtime_error("parse_shard: expected 'i/N', got '" +
-                             std::string(spec) + "'");
-  }
+  parse_side(spec.substr(0, slash), sel.index);
+  parse_side(spec.substr(slash + 1), sel.count);
   if (sel.count == 0 || sel.index >= sel.count) {
     throw std::runtime_error("parse_shard: shard index " +
                              std::to_string(sel.index) +
@@ -285,11 +285,10 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
       }
       const obs::Stopwatch warm_clock;
       if (!warm_trace.empty()) {
-        // Stream the gaps from the recorded trace: a CFIRTRC2 reader
-        // seeks per the block index, so this shard decodes only blocks
-        // covering [0, its last interval boundary) — cheaper the fewer
-        // intervals the shard owns — and the blobs still match the
-        // engine pass bit for bit (same record stream).
+        // Stream the prefix from the recorded trace instead of
+        // re-executing: the blobs match the engine pass bit for bit (same
+        // record stream). The pass decodes every block of [0, this
+        // shard's last target); only the blocks after it are skipped.
         TraceReader reader(warm_trace);
         captured = capture_warm_states_grid(need, program, reader, targets);
       } else {
@@ -347,9 +346,7 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
                 "selection?");
           }
           obs::Span warm_span("warming", static_cast<uint64_t>(i));
-          FunctionalWarmer warmer(config, program);
-          warmer.deserialize_state(blob);
-          warmer.apply_to(*sim);
+          install_warm_state(blob, *sim);
         }
         stats::SimStats warm_stats;
         if (interval.warmup > 0) {

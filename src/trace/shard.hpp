@@ -69,7 +69,8 @@ struct ShardSelection {
   }
 };
 
-/// Parses "i/N" (e.g. "0/4"); throws std::runtime_error on malformed specs
+/// Parses "i/N" (e.g. "0/4"), both sides decimal digits only; throws
+/// std::runtime_error on malformed specs (whitespace and signs included)
 /// or i >= N, so a typo'd --shard flag fails loudly.
 [[nodiscard]] ShardSelection parse_shard(std::string_view spec);
 
@@ -135,11 +136,14 @@ struct ShardResult {
 /// into the result for merge-time validation; pass the manifest's hash
 /// when executing a manifest-derived plan. When `warm_trace` names a
 /// recorded trace of `program`, that shared capture pass streams the
-/// stored records instead of re-executing — on a CFIRTRC2 trace the shard
-/// then decodes only the blocks covering its own intervals + warming gaps
-/// (O(intervals), not O(prefix); observable via the `trace.blocks_read`
-/// counter), with blobs bit-identical to the engine pass. The trailing int
-/// is unused; it stays so existing callers that pass it keep compiling.
+/// stored records instead of re-executing, with blobs bit-identical to the
+/// engine pass. Functional warming needs the whole prefix [0, last warm
+/// target), so a shard decodes every block up to its last target; on a
+/// CFIRTRC2 trace the block index only spares the blocks after it. Under
+/// round-robin selection each shard's last target sits near the end of
+/// the plan, so every shard decodes close to the whole prefix (the
+/// `trace.blocks_read` counter shows it). The trailing int is unused; it
+/// stays so existing callers that pass it keep compiling.
 [[nodiscard]] ShardResult run_shard(const std::vector<ConfigBinding>& configs,
                                     const isa::Program& program,
                                     const IntervalPlan& plan,

@@ -172,7 +172,7 @@ void TraceWriter::finish(
 // ---------------------------------------------------------------------------
 
 TraceReader::TraceReader(const std::string& path)
-    : in_(path, std::ios::binary) {
+    : in_(path, std::ios::binary), span_(kTraceSpanRecords) {
   if (!in_) throw std::runtime_error("TraceReader: cannot open " + path);
   // Sniff the magic to pick the codec. v2 validates per block + via the
   // index CRC, so only the v1 path verifies the whole-file footer — that
@@ -184,6 +184,7 @@ TraceReader::TraceReader(const std::string& path)
     in_.close();
     version_ = kTraceVersionV2;
     v2_ = std::make_unique<v2::FileView>(v2::open_file(path));
+    decoder_ = std::make_unique<v2::BlockDecoder>();
     meta_ = v2_->meta;
     record_count_ = v2_->record_count;
     final_digest_ = v2_->final_digest;
@@ -275,30 +276,61 @@ void TraceReader::drain_telemetry() {
           0, now_us - open_us_)));
 }
 
-bool TraceReader::next(TraceRecord& out) {
+size_t TraceReader::read_span(const TraceRecord*& out, uint64_t max) {
   if (read_ >= record_count_) {
     drain_telemetry();
-    return false;
+    return 0;
   }
+  size_t n = 0;
   if (v2_) {
-    // Serve out of the cached block, decoding the covering block on
-    // demand — a seek_to only pays for blocks it actually reads into.
-    if (cur_block_ == SIZE_MAX ||
-        read_ < v2_->blocks[cur_block_].first_record ||
-        read_ >= v2_->blocks[cur_block_].first_record +
-                     v2_->blocks[cur_block_].count) {
-      const auto it = std::upper_bound(
-          v2_->blocks.begin(), v2_->blocks.end(), read_,
-          [](uint64_t r, const v2::BlockIndexEntry& e) {
-            return r < e.first_record;
-          });
-      cur_block_ = static_cast<size_t>(it - v2_->blocks.begin()) - 1;
-      block_cache_ = v2::decode_block(*v2_, cur_block_);
-    }
-    out = block_cache_[read_ - v2_->blocks[cur_block_].first_record];
-    ++read_;
-    return true;
+    if (read_ < span_first_ || read_ >= span_first_ + span_len_) refill_v2();
+    const size_t at = static_cast<size_t>(read_ - span_first_);
+    n = static_cast<size_t>(std::min<uint64_t>(max, span_len_ - at));
+    out = span_.data() + at;
+  } else {
+    // v1 decodes exactly what it hands out, so the file cursor always sits
+    // at read_ (seek_to's rewind-and-skip relies on that).
+    n = static_cast<size_t>(std::min<uint64_t>(
+        {max, kTraceSpanRecords, record_count_ - read_}));
+    for (size_t i = 0; i < n; ++i) decode_v1(span_[i]);
+    out = span_.data();
   }
+  read_ += n;
+  return n;
+}
+
+bool TraceReader::next(TraceRecord& out) {
+  const TraceRecord* rec = nullptr;
+  if (read_span(rec, 1) == 0) return false;
+  out = *rec;
+  return true;
+}
+
+void TraceReader::refill_v2() {
+  span_len_ = 0;
+  // Keep streaming the open block when read_ is at or ahead of its cursor;
+  // a backward seek or a position past the block opens the covering one.
+  if (read_ < decoder_->position() ||
+      read_ >= decoder_->position() + decoder_->remaining()) {
+    const auto it = std::upper_bound(
+        v2_->blocks.begin(), v2_->blocks.end(), read_,
+        [](uint64_t r, const v2::BlockIndexEntry& e) {
+          return r < e.first_record;
+        });
+    decoder_->open(*v2_, static_cast<size_t>(it - v2_->blocks.begin()) - 1);
+  }
+  // Coder state is sequential within a block, so a seek into its middle
+  // decodes and drops the records before the target.
+  while (decoder_->position() < read_) {
+    (void)decoder_->decode(
+        span_.data(), static_cast<size_t>(std::min<uint64_t>(
+                          kTraceSpanRecords, read_ - decoder_->position())));
+  }
+  span_first_ = read_;
+  span_len_ = decoder_->decode(span_.data(), kTraceSpanRecords);
+}
+
+void TraceReader::decode_v1(TraceRecord& out) {
   const int tag_c = in_.get();
   if (tag_c == std::char_traits<char>::eof()) {
     throw std::runtime_error("TraceReader: truncated record stream");
@@ -324,8 +356,6 @@ bool TraceReader::next(TraceRecord& out) {
         last_addr_ + static_cast<uint64_t>(unzigzag(get_varint()));
     last_addr_ = out.addr;
   }
-  ++read_;
-  return true;
 }
 
 void TraceReader::seek_to(uint64_t inst_index) {
@@ -335,7 +365,8 @@ void TraceReader::seek_to(uint64_t inst_index) {
         ") past record count " + std::to_string(record_count_));
   }
   if (v2_ || inst_index == read_) {
-    // v2 repositions in O(1); next() finds and decodes the covering block.
+    // v2 repositions in O(1); the next read finds and opens the covering
+    // block.
     read_ = inst_index;
     return;
   }
@@ -349,8 +380,8 @@ void TraceReader::seek_to(uint64_t inst_index) {
     have_prev_ = false;
     last_addr_ = 0;
   }
-  TraceRecord scratch;
-  while (read_ < inst_index && next(scratch)) {
+  const TraceRecord* skipped = nullptr;
+  while (read_ < inst_index && read_span(skipped, inst_index - read_) > 0) {
   }
 }
 

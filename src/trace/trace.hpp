@@ -86,6 +86,7 @@ enum class TraceFormat : uint8_t {
 
 namespace v2 {
 struct FileView;
+class BlockDecoder;
 class BlockWriter;
 }  // namespace v2
 
@@ -179,10 +180,16 @@ class TraceWriter {
   bool finished_ = false;
 };
 
+/// Records a TraceReader decodes per refill of its span buffer: 256 x 40 B
+/// stays well inside L1 while amortizing the per-refill bookkeeping.
+inline constexpr size_t kTraceSpanRecords = 256;
+
 /// Reads both trace formats behind one interface: the leading magic picks
 /// the codec at open. v1 streams records off disk; v2 buffers the file,
 /// validates only the header + block index, and decodes blocks on demand
-/// (CRC-checked per block), which is what makes seek_to cheap.
+/// (each fully checked before its first record is returned), which is what
+/// makes seek_to cheap. Records arrive through a small reused span buffer,
+/// never a whole decoded block.
 class TraceReader {
  public:
   /// Opens and validates the header; throws the typed trace/errors.hpp
@@ -200,7 +207,15 @@ class TraceReader {
     return final_regs_;
   }
 
-  /// Reads the next record; returns false at end of stream.
+  /// Span read: points `out` at up to `max` consecutive records starting at
+  /// position() and advances past them. Returns how many — at least one
+  /// unless the stream is at its end or `max` is 0 — and never more than
+  /// kTraceSpanRecords. The records live in the reader's span buffer and
+  /// stay valid until the next call on this reader.
+  size_t read_span(const TraceRecord*& out, uint64_t max);
+
+  /// Reads the next record; returns false at end of stream. A one-record
+  /// read_span.
   bool next(TraceRecord& out);
 
   /// On-disk format version of the open file (1 or 2).
@@ -222,9 +237,10 @@ class TraceReader {
   [[nodiscard]] uint32_t block_len() const;
   /// First record index of block `b` (v2 only).
   [[nodiscard]] uint64_t block_first_record(size_t b) const;
-  /// Decodes block `b` after verifying its CRC (v2 only; throws on v1).
-  /// Pure and thread-safe — bbv_from_trace fans block decodes out on the
-  /// sim::parallel_for pool. Each call counts one `trace.blocks_read`.
+  /// Decodes the whole of block `b` (v2 only; throws on v1) with the same
+  /// checks as a span read. Pure and thread-safe — bbv_from_trace fans
+  /// block decodes out on the sim::parallel_for pool. Each call counts one
+  /// `trace.blocks_read`.
   [[nodiscard]] std::vector<TraceRecord> decode_block(size_t b) const;
   /// Per-column compressed payload bytes summed over all blocks
   /// (trace_tool info; v2 only — zeros for v1).
@@ -232,6 +248,8 @@ class TraceReader {
 
  private:
   [[nodiscard]] uint64_t get_varint();
+  void decode_v1(TraceRecord& out);
+  void refill_v2();
   void drain_telemetry();
 
   std::ifstream in_;
@@ -246,8 +264,11 @@ class TraceReader {
   uint64_t prev_pc_ = 0;
   bool have_prev_ = false;
   uint64_t last_addr_ = 0;
-  std::vector<TraceRecord> block_cache_;  ///< v2: decoded current block
-  size_t cur_block_ = SIZE_MAX;           ///< v2: which block is cached
+  std::unique_ptr<v2::BlockDecoder> decoder_;  ///< v2: the open block
+  /// Span buffer: records [span_first_, span_first_ + span_len_).
+  std::vector<TraceRecord> span_;
+  uint64_t span_first_ = 0;
+  size_t span_len_ = 0;
   int64_t open_us_ = 0;     ///< decode-throughput telemetry epoch
   bool telemetry_done_ = false;
 };

@@ -1,5 +1,7 @@
 #include "trace/trace_v2.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -148,7 +150,11 @@ std::vector<uint8_t> lz_compress(const uint8_t* src, size_t n) {
   return out;
 }
 
-std::vector<uint8_t> lz_decompress(const uint8_t* src, size_t n) {
+/// Expands one LZ column body into `out` (grown on demand, never shrunk,
+/// so a decoder reuses it across blocks) and returns the expanded length.
+/// Literal runs and matches move whole words or memcpy runs, never bytes.
+size_t lz_decompress(const uint8_t* src, size_t n, uint64_t max_raw,
+                     std::vector<uint8_t>& out) {
   size_t pos = 0;
   const auto get_varint = [&]() -> uint64_t {
     uint64_t v = 0;
@@ -164,30 +170,55 @@ std::vector<uint8_t> lz_decompress(const uint8_t* src, size_t n) {
     }
   };
   const uint64_t raw_size = get_varint();
-  // Column payloads are bounded by the block they came from; a huge size
-  // here is corruption, not data.
-  if (raw_size > (uint64_t{1} << 32)) corrupt("lz column size implausible");
-  std::vector<uint8_t> out;
-  out.reserve(raw_size);
-  while (out.size() < raw_size) {
+  // A column holds at most one varint per record, so anything larger than
+  // the block can carry is corruption, not data.
+  if (raw_size > max_raw) corrupt("lz column size implausible");
+  // Slack past the end lets short copies move whole 8-byte words; bytes
+  // written there are overwritten by the next token or never read.
+  constexpr size_t kSlack = 16;
+  if (out.size() < raw_size + kSlack) out.resize(raw_size + kSlack);
+  uint8_t* dst = out.data();
+  uint64_t len = 0;
+  while (len < raw_size) {
     const uint64_t lit = get_varint();
-    if (lit > raw_size - out.size() || lit > n - pos) {
+    if (lit > raw_size - len || lit > n - pos) {
       corrupt("lz literal run overruns");
     }
-    out.insert(out.end(), src + pos, src + pos + lit);
+    if (lit <= 16 && n - pos >= 16) {
+      std::memcpy(dst + len, src + pos, 16);
+    } else {
+      std::memcpy(dst + len, src + pos, lit);
+    }
     pos += lit;
-    if (out.size() >= raw_size) break;
+    len += lit;
+    if (len >= raw_size) break;
     const uint64_t mlen = get_varint() + kLzMinMatch;
     const uint64_t dist = get_varint();
-    if (dist == 0 || dist > out.size() || mlen > raw_size - out.size()) {
+    if (dist == 0 || dist > len || mlen > raw_size - len) {
       corrupt("lz match out of range");
     }
-    for (uint64_t k = 0; k < mlen; ++k) {
-      out.push_back(out[out.size() - dist]);
+    uint8_t* to = dst + len;
+    if (dist >= 8) {
+      // Each word's source lies wholly before its destination.
+      for (uint64_t k = 0; k < mlen; k += 8) {
+        std::memcpy(to + k, to + k - dist, 8);
+      }
+    } else {
+      // The match repeats the `dist`-byte pattern before it. Copy one
+      // period, then keep doubling the copied stretch: it stays a whole
+      // number of periods, so each copy is a non-overlapping memcpy.
+      uint64_t done = dist;
+      std::memcpy(to, to - dist, dist);
+      while (done < mlen) {
+        const uint64_t chunk = std::min(done, mlen - done);
+        std::memcpy(to + done, to, chunk);
+        done += chunk;
+      }
     }
+    len += mlen;
   }
   if (pos != n) corrupt("lz column length mismatch");
-  return out;
+  return raw_size;
 }
 
 /// Packs one bit per push, LSB-first within each byte.
@@ -224,75 +255,109 @@ class CodePacker {
   throw CorruptFileError("CFIRTRC2: " + what);
 }
 
-/// Read cursor over one column's payload slice. All three shapes throw
-/// CorruptFileError on overrun and verify exact consumption at the end, so
-/// a block whose column lengths disagree with its contents is rejected
-/// even when its CRC was forged to match.
-struct ColumnSlice {
-  const uint8_t* p = nullptr;
-  size_t n = 0;
-};
-
-class BitCursor {
- public:
-  explicit BitCursor(ColumnSlice s) : s_(s) {}
-  bool next() {
-    if (i_ >= s_.n * 8) corrupt("bitmap column overrun");
-    const bool b = ((s_.p[i_ >> 3] >> (i_ & 7)) & 1) != 0;
-    ++i_;
-    return b;
+/// Unbounded LEB128 read: only for columns the validation pass proved
+/// hold exactly the varints the decode loop consumes.
+inline uint64_t read_varint(const uint8_t*& p) {
+  uint64_t v = 0;
+  int shift = 0;
+  for (;;) {
+    const uint8_t c = *p++;
+    v |= static_cast<uint64_t>(c & 0x7f) << shift;
+    if (c < 0x80) return v;
+    shift += 7;
   }
-  void check_done() const {
-    if ((i_ + 7) / 8 != s_.n) corrupt("bitmap column length mismatch");
+}
+
+inline bool bit_at(const uint8_t* col, uint32_t i) {
+  return ((col[i >> 3] >> (i & 7)) & 1) != 0;
+}
+
+inline uint8_t code_at(const uint8_t* col, uint32_t i) {
+  return (col[i >> 2] >> ((i & 3) * 2)) & 3;
+}
+
+/// Loads bytes [at, at + 8) of a `len`-byte column as a little-endian word,
+/// zero past the end.
+inline uint64_t load_word(const uint8_t* col, size_t len, size_t at) {
+  uint64_t w = 0;
+  if (at + 8 <= len) {
+    std::memcpy(&w, col + at, 8);
+  } else {
+    std::memcpy(&w, col + at, len - at);
   }
-
- private:
-  ColumnSlice s_;
-  size_t i_ = 0;
-};
-
-class CodeCursor {
- public:
-  explicit CodeCursor(ColumnSlice s) : s_(s) {}
-  uint8_t next() {
-    if (i_ >= s_.n * 4) corrupt("code column overrun");
-    const uint8_t c = (s_.p[i_ >> 2] >> ((i_ & 3) * 2)) & 3;
-    ++i_;
-    return c;
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
   }
-  void check_done() const {
-    if ((i_ + 3) / 4 != s_.n) corrupt("code column length mismatch");
+  return w;
+}
+
+/// Bit count without a library call: on the baseline x86-64 target
+/// std::popcount is an out-of-line libgcc routine.
+inline uint64_t ones(uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return (x * 0x0101010101010101ull) >> 56;
+}
+
+/// Set bits among the first `bits` bits of a bitmap column.
+uint64_t popcount_prefix(const uint8_t* col, size_t len, uint64_t bits) {
+  uint64_t set = 0;
+  for (size_t at = 0; at * 8 < bits; at += 8) {
+    uint64_t w = load_word(col, len, at);
+    const uint64_t left = bits - at * 8;
+    if (left < 64) w &= (uint64_t{1} << left) - 1;
+    set += ones(w);
   }
+  return set;
+}
 
- private:
-  ColumnSlice s_;
-  size_t i_ = 0;
-};
-
-class VarintCursor {
- public:
-  explicit VarintCursor(ColumnSlice s) : s_(s) {}
-  uint64_t next() {
-    uint64_t v = 0;
+/// Proves `col` holds exactly `count` well-formed varints (each
+/// terminated, none past 64 bits) and nothing else — the checks the
+/// decode loop's unbounded read_varint relies on.
+void check_varints(const uint8_t* col, size_t len, uint64_t count) {
+  // Word-at-a-time fast path: when no varint is longer than nine bytes,
+  // none can overflow, so the column is well formed exactly when it holds
+  // `count` terminator bytes (high bit clear) and ends on one.
+  // `run` is a sliding window of continuation flags, one bit per byte in
+  // stream order; nine adjacent ones mean a varint of ten bytes or more,
+  // which takes the exact byte-wise check below.
+  constexpr uint64_t kHigh = 0x8080808080808080ull;
+  uint64_t terminators = 0;
+  uint64_t run = 0;
+  bool long_varint = false;
+  for (size_t at = 0; at < len; at += 8) {
+    const size_t n = std::min<size_t>(8, len - at);
+    const uint64_t valid = n == 8 ? ~uint64_t{0} : (uint64_t{1} << 8 * n) - 1;
+    const uint64_t w = load_word(col, len, at);
+    terminators += ones(~w & kHigh & valid);
+    const uint64_t cont = ((w & kHigh & valid) >> 7) *
+                              0x0102040810204080ull >> 56;  // byte j -> bit j
+    run = (run >> 8) | (cont << 56);
+    uint64_t nine = run;
+    for (int k = 1; k < 9; ++k) nine &= run >> k;
+    long_varint |= nine != 0;
+  }
+  if (!long_varint) {
+    if (terminators != count || (len > 0 && col[len - 1] >= 0x80)) {
+      corrupt("varint column length mismatch");
+    }
+    return;
+  }
+  size_t pos = 0;
+  for (uint64_t k = 0; k < count; ++k) {
     int shift = 0;
     for (;;) {
-      if (pos_ >= s_.n) corrupt("truncated varint column");
-      const uint8_t c = s_.p[pos_++];
+      if (pos >= len) corrupt("truncated varint column");
+      const uint8_t c = col[pos++];
       if (shift == 63 && (c & 0x7f) > 1) corrupt("varint overflow");
-      v |= static_cast<uint64_t>(c & 0x7f) << shift;
-      if ((c & 0x80) == 0) return v;
+      if ((c & 0x80) == 0) break;
       shift += 7;
       if (shift > 63) corrupt("varint overflow");
     }
   }
-  void check_done() const {
-    if (pos_ != s_.n) corrupt("varint column length mismatch");
-  }
-
- private:
-  ColumnSlice s_;
-  size_t pos_ = 0;
-};
+  if (pos != len) corrupt("varint column length mismatch");
+}
 
 /// Serializes the CFIRTRC2 header (identical field layout to CFIRTRC1;
 /// the v1 reserved u32 holds the block capacity).
@@ -431,7 +496,9 @@ FileView open_file(const std::string& path) {
   return f;
 }
 
-std::vector<TraceRecord> decode_block(const FileView& file, size_t b) {
+void BlockDecoder::open(const FileView& file, size_t b) {
+  count_ = 0;
+  done_ = 0;
   if (b >= file.blocks.size()) {
     throw std::out_of_range("decode_block: block " + std::to_string(b) +
                             " of " + std::to_string(file.blocks.size()));
@@ -446,20 +513,15 @@ std::vector<TraceRecord> decode_block(const FileView& file, size_t b) {
 
   const uint32_t n = rd_u32(base);
   if (n != entry.count) corrupt("block record count disagrees with index");
-  uint64_t pred_pc = rd_u64(base + 4);
-  uint64_t load_addr = rd_u64(base + 12);
-  uint64_t load_delta = rd_u64(base + 20);
-  uint64_t store_addr = rd_u64(base + 28);
-  uint64_t store_delta = rd_u64(base + 36);
 
-  std::array<ColumnSlice, kTraceV2Columns> stored;
+  std::array<size_t, kTraceV2Columns> stored_len{};
   size_t off = kBlockFixedBytes;
   for (size_t c = 0; c < kTraceV2Columns; ++c) {
     const uint32_t len = rd_u32(base + 44 + 4 * c);
     if (len > avail - kCrcFooterBytes || off + len > avail - kCrcFooterBytes) {
       corrupt("block column lengths exceed the block");
     }
-    stored[c] = {base + off, len};
+    stored_len[c] = len;
     off += len;
   }
   if (off + kCrcFooterBytes != avail) {
@@ -470,84 +532,171 @@ std::vector<TraceRecord> decode_block(const FileView& file, size_t b) {
     corrupt("block CRC mismatch");
   }
 
-  // Unframe each column: leading codec byte, body either raw or LZ. The
-  // scratch vectors live for the whole decode so the cursors can point at
-  // decompressed bytes.
-  std::array<ColumnSlice, kTraceV2Columns> cols;
-  std::array<std::vector<uint8_t>, kTraceV2Columns> scratch;
+  // Unframe each column: leading codec byte, body either raw (read in
+  // place) or LZ (expanded into this decoder's scratch buffer).
+  std::array<size_t, kTraceV2Columns> len{};
+  const uint64_t max_raw = uint64_t{10} * n;
+  const uint8_t* stored = base + kBlockFixedBytes;
   for (size_t c = 0; c < kTraceV2Columns; ++c) {
-    if (stored[c].n == 0) continue;
-    const uint8_t codec = stored[c].p[0];
-    if (codec == kCodecRaw) {
-      cols[c] = {stored[c].p + 1, stored[c].n - 1};
-    } else if (codec == kCodecLz) {
-      scratch[c] = lz_decompress(stored[c].p + 1, stored[c].n - 1);
-      cols[c] = {scratch[c].data(), scratch[c].size()};
-    } else {
-      corrupt("unknown column codec");
-    }
-  }
-
-  CodeCursor kinds(cols[0]);
-  BitCursor pc_flags(cols[1]);
-  VarintCursor pc_deltas(cols[2]);
-  BitCursor taken(cols[3]);
-  BitCursor target_flags(cols[4]);
-  VarintCursor target_deltas(cols[5]);
-  BitCursor load_flags(cols[6]);
-  VarintCursor load_deltas(cols[7]);
-  BitCursor store_flags(cols[8]);
-  VarintCursor store_deltas(cols[9]);
-  CodeCursor mem_sizes(cols[10]);
-
-  std::vector<TraceRecord> out(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    TraceRecord& rec = out[i];
-    rec.kind = static_cast<RecordKind>(kinds.next());
-    rec.pc = pred_pc;
-    if (pc_flags.next()) rec.pc += scale_decode(pc_deltas.next());
-    if (rec.kind == RecordKind::kBranch) {
-      rec.taken = taken.next();
-      rec.next_pc = rec.pc + isa::kInstBytes;
-      if (target_flags.next()) {
-        rec.next_pc += scale_decode(target_deltas.next());
-      }
-      pred_pc = rec.next_pc;
-    } else {
-      pred_pc = rec.pc + isa::kInstBytes;
-      if (rec.kind == RecordKind::kLoad) {
-        if (load_flags.next()) {
-          load_delta += static_cast<uint64_t>(unzigzag(load_deltas.next()));
-        }
-        load_addr += load_delta;
-        rec.addr = load_addr;
-        rec.size = static_cast<uint8_t>(1u << mem_sizes.next());
-      } else if (rec.kind == RecordKind::kStore) {
-        if (store_flags.next()) {
-          store_delta += static_cast<uint64_t>(unzigzag(store_deltas.next()));
-        }
-        store_addr += store_delta;
-        rec.addr = store_addr;
-        rec.size = static_cast<uint8_t>(1u << mem_sizes.next());
+    col_[c] = stored;
+    if (stored_len[c] > 0) {
+      const uint8_t codec = stored[0];
+      if (codec == kCodecRaw) {
+        col_[c] = stored + 1;
+        len[c] = stored_len[c] - 1;
+      } else if (codec == kCodecLz) {
+        len[c] = lz_decompress(stored + 1, stored_len[c] - 1, max_raw,
+                               scratch_[c]);
+        col_[c] = scratch_[c].data();
+      } else {
+        corrupt("unknown column codec");
       }
     }
+    stored += stored_len[c];
   }
-  kinds.check_done();
-  pc_flags.check_done();
-  pc_deltas.check_done();
-  taken.check_done();
-  target_flags.check_done();
-  target_deltas.check_done();
-  load_flags.check_done();
-  load_deltas.check_done();
-  store_flags.check_done();
-  store_deltas.check_done();
-  mem_sizes.check_done();
+
+  // Validation pass: the kind codes fix how many branch / load / store
+  // records the block holds, which fixes every per-kind column's exact
+  // length; each flag bitmap's popcount fixes how many varints its delta
+  // column holds.
+  const auto expect_len = [&](size_t c, uint64_t want, const char* what) {
+    if (len[c] != want) corrupt(std::string(what) + " column length mismatch");
+  };
+  expect_len(0, (uint64_t{n} + 3) / 4, "code");
+  uint64_t branches = 0;
+  uint64_t loads = 0;
+  uint64_t stores = 0;
+  constexpr uint64_t kLowBits = 0x5555555555555555ull;
+  for (size_t at = 0; at < len[0]; at += 8) {
+    const uint64_t w = load_word(col_[0], len[0], at);
+    const uint64_t codes = uint64_t{n} - at * 4;  // codes left from `at`
+    const uint64_t valid =
+        codes >= 32 ? ~uint64_t{0} : (uint64_t{1} << (2 * codes)) - 1;
+    const uint64_t lo = w & valid & kLowBits;
+    const uint64_t hi = (w & valid) >> 1 & kLowBits;
+    branches += ones(lo & ~hi);
+    loads += ones(hi & ~lo);
+    stores += ones(lo & hi);
+  }
+  const auto check_flagged = [&](size_t flags, size_t deltas,
+                                 uint64_t records) {
+    expect_len(flags, (records + 7) / 8, "bitmap");
+    check_varints(col_[deltas], len[deltas],
+                  popcount_prefix(col_[flags], len[flags], records));
+  };
+  check_flagged(1, 2, n);
+  expect_len(3, (branches + 7) / 8, "bitmap");
+  check_flagged(4, 5, branches);
+  check_flagged(6, 7, loads);
+  check_flagged(8, 9, stores);
+  expect_len(10, (loads + stores + 3) / 4, "code");
+
+  first_record_ = entry.first_record;
+  branches_ = loads_ = stores_ = 0;
+  pc_varint_ = col_[2];
+  target_varint_ = col_[5];
+  load_varint_ = col_[7];
+  store_varint_ = col_[9];
+  pred_pc_ = rd_u64(base + 4);
+  load_addr_ = rd_u64(base + 12);
+  load_delta_ = rd_u64(base + 20);
+  store_addr_ = rd_u64(base + 28);
+  store_delta_ = rd_u64(base + 36);
+  count_ = n;
 
   obs::Registry& reg = obs::Registry::instance();
   reg.counter("trace.blocks_read").increment();
   reg.counter("trace.decode_records").add(n);
   reg.counter("trace.decode_bytes").add(avail);
+}
+
+size_t BlockDecoder::decode(TraceRecord* out, size_t max) {
+  const size_t n = std::min<size_t>(max, count_ - done_);
+  // The cursors and coder state live in locals for the loop (the record
+  // stores could otherwise alias the members and force reloads); every
+  // read below was proven in bounds by open().
+  const uint8_t* const kinds = col_[0];
+  const uint8_t* const pc_flags = col_[1];
+  const uint8_t* const taken = col_[3];
+  const uint8_t* const target_flags = col_[4];
+  const uint8_t* const load_flags = col_[6];
+  const uint8_t* const store_flags = col_[8];
+  const uint8_t* const mem_sizes = col_[10];
+  const uint8_t* pc_varint = pc_varint_;
+  const uint8_t* target_varint = target_varint_;
+  const uint8_t* load_varint = load_varint_;
+  const uint8_t* store_varint = store_varint_;
+  uint32_t i = done_;
+  uint32_t nb = branches_;
+  uint32_t nl = loads_;
+  uint32_t ns = stores_;
+  uint64_t pred_pc = pred_pc_;
+  uint64_t load_addr = load_addr_;
+  uint64_t load_delta = load_delta_;
+  uint64_t store_addr = store_addr_;
+  uint64_t store_delta = store_delta_;
+  for (size_t k = 0; k < n; ++k, ++i) {
+    TraceRecord rec;
+    rec.kind = static_cast<RecordKind>(code_at(kinds, i));
+    rec.pc = pred_pc;
+    if (bit_at(pc_flags, i)) rec.pc += scale_decode(read_varint(pc_varint));
+    pred_pc = rec.pc + isa::kInstBytes;
+    switch (rec.kind) {
+      case RecordKind::kBranch:
+        rec.taken = bit_at(taken, nb);
+        rec.next_pc = pred_pc;
+        if (bit_at(target_flags, nb)) {
+          rec.next_pc += scale_decode(read_varint(target_varint));
+        }
+        ++nb;
+        pred_pc = rec.next_pc;
+        break;
+      case RecordKind::kLoad:
+        if (bit_at(load_flags, nl)) {
+          load_delta +=
+              static_cast<uint64_t>(unzigzag(read_varint(load_varint)));
+        }
+        load_addr += load_delta;
+        rec.addr = load_addr;
+        rec.size = static_cast<uint8_t>(1u << code_at(mem_sizes, nl + ns));
+        ++nl;
+        break;
+      case RecordKind::kStore:
+        if (bit_at(store_flags, ns)) {
+          store_delta +=
+              static_cast<uint64_t>(unzigzag(read_varint(store_varint)));
+        }
+        store_addr += store_delta;
+        rec.addr = store_addr;
+        rec.size = static_cast<uint8_t>(1u << code_at(mem_sizes, nl + ns));
+        ++ns;
+        break;
+      case RecordKind::kPlain:
+        break;
+    }
+    out[k] = rec;
+  }
+  done_ = i;
+  branches_ = nb;
+  loads_ = nl;
+  stores_ = ns;
+  pc_varint_ = pc_varint;
+  target_varint_ = target_varint;
+  load_varint_ = load_varint;
+  store_varint_ = store_varint;
+  pred_pc_ = pred_pc;
+  load_addr_ = load_addr;
+  load_delta_ = load_delta;
+  store_addr_ = store_addr;
+  store_delta_ = store_delta;
+  return n;
+}
+
+std::vector<TraceRecord> decode_block(const FileView& file, size_t b) {
+  BlockDecoder decoder;
+  decoder.open(file, b);
+  std::vector<TraceRecord> out(decoder.remaining());
+  decoder.decode(out.data(), out.size());
   return out;
 }
 

@@ -42,7 +42,7 @@ inline constexpr size_t kIndexEntryBytes = 20;
 /// A validated, fully buffered CFIRTRC2 file: header fields, the block
 /// index, and the raw bytes blocks decode out of. Opening validates the
 /// header, the index footer and its CRC — but no block payload; those are
-/// CRC-checked individually by decode_block, so a reader that seeks only
+/// checked individually by BlockDecoder::open, so a reader that seeks only
 /// pays for the blocks it touches.
 struct FileView {
   TraceMeta meta;
@@ -61,10 +61,66 @@ struct FileView {
 /// exactly like the v1 reader.
 [[nodiscard]] FileView open_file(const std::string& path);
 
-/// Decodes block `b` after verifying its CRC footer (CorruptFileError on
-/// any mismatch or malformed column). Pure function of the FileView —
-/// safe to call from parallel workers. Counts one `trace.blocks_read`
-/// plus the block's records/bytes into the decode counters.
+/// The one CFIRTRC2 block decoder, resumable so consumers stream a block
+/// in small caller-sized chunks instead of materializing it.
+///
+/// open() does all of a block's checking up front: it verifies the block
+/// CRC, unframes the columns (LZ bodies expand into scratch buffers reused
+/// across blocks) and runs a validation pass that proves every column's
+/// exact length from the record count, the kind counts, the flag
+/// popcounts and the varint terminators. Any mismatch is a
+/// CorruptFileError before a single record of the block is handed out.
+/// decode() then expands records with no per-field bounds checks — the
+/// validation pass already proved every read lands inside its column.
+///
+/// Each open() counts one `trace.blocks_read` plus the block's
+/// records/bytes into the decode counters. Not thread-safe; parallel
+/// decoders each own one.
+class BlockDecoder {
+ public:
+  /// Opens block `b` of `file` (which must outlive the decode): throws
+  /// std::out_of_range past the last block and CorruptFileError on any
+  /// integrity or structure failure, leaving no block open.
+  void open(const FileView& file, size_t b);
+
+  /// Decodes up to `max` next records of the open block into `out` and
+  /// returns how many; 0 once the block is exhausted.
+  size_t decode(TraceRecord* out, size_t max);
+
+  /// Records of the open block not yet decoded.
+  [[nodiscard]] uint32_t remaining() const { return count_ - done_; }
+  /// Absolute index of the record the next decode() returns.
+  [[nodiscard]] uint64_t position() const { return first_record_ + done_; }
+
+ private:
+  /// LZ-expanded column bodies, grown on demand and reused across blocks.
+  std::array<std::vector<uint8_t>, kTraceV2Columns> scratch_;
+  /// Column bodies of the open block (file bytes or scratch_).
+  std::array<const uint8_t*, kTraceV2Columns> col_{};
+
+  uint64_t first_record_ = 0;
+  uint32_t count_ = 0;
+  uint32_t done_ = 0;
+  // Decode cursors: branch / load / store records seen so far (they index
+  // the per-kind bit and code columns) and the four varint read heads.
+  uint32_t branches_ = 0;
+  uint32_t loads_ = 0;
+  uint32_t stores_ = 0;
+  const uint8_t* pc_varint_ = nullptr;
+  const uint8_t* target_varint_ = nullptr;
+  const uint8_t* load_varint_ = nullptr;
+  const uint8_t* store_varint_ = nullptr;
+  // Inter-record coder state, seeded from the block header.
+  uint64_t pred_pc_ = 0;
+  uint64_t load_addr_ = 0;
+  uint64_t load_delta_ = 0;
+  uint64_t store_addr_ = 0;
+  uint64_t store_delta_ = 0;
+};
+
+/// Decodes the whole of block `b`: BlockDecoder::open plus one decode of
+/// every record, with the same checks and counters. Pure function of the
+/// FileView — safe to call from parallel workers.
 [[nodiscard]] std::vector<TraceRecord> decode_block(const FileView& file,
                                                     size_t b);
 

@@ -1,6 +1,7 @@
 #include "trace/warming.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <iterator>
 #include <memory>
@@ -80,7 +81,7 @@ const char* warm_mode_name(WarmMode mode) {
 }
 
 WarmMode parse_warm_mode(std::string_view name) {
-  if (name.empty() || name == "detailed") return WarmMode::kDetailed;
+  if (name == "detailed") return WarmMode::kDetailed;
   if (name == "none") return WarmMode::kNone;
   if (name == "functional") return WarmMode::kFunctional;
   if (name == "hybrid") return WarmMode::kHybrid;
@@ -165,9 +166,10 @@ void FunctionalWarmer::advance_on_trace(TraceReader& reader,
                                         std::string_view context) {
   if (n_insts <= warmed_) return;
   reader.seek_to(warmed_);
-  TraceRecord rec;
   while (warmed_ < n_insts) {
-    if (!reader.next(rec)) {
+    const TraceRecord* span = nullptr;
+    const size_t n = reader.read_span(span, n_insts - warmed_);
+    if (n == 0) {
       std::string msg =
           "FunctionalWarmer::advance_on_trace: trace ends at " +
           std::to_string(warmed_) + " records, warm target " +
@@ -179,23 +181,12 @@ void FunctionalWarmer::advance_on_trace(TraceReader& reader,
       }
       throw std::runtime_error(msg);
     }
-    on_record(rec);  // increments warmed_
+    for (size_t i = 0; i < n; ++i) on_record(span[i]);  // advances warmed_
   }
   // A later advance_to() must resume from the new position; drop any live
   // engine so ensure_engine() fast-skips the trace-warmed prefix.
   engine_.reset();
   engine_mem_.reset();
-}
-
-void FunctionalWarmer::apply_to(sim::Simulator& sim) const {
-  core::Core& core = sim.core();
-  core.gshare() = gshare_;
-  core.ras() = ras_;
-  core.mbs() = mbs_;
-  core.hierarchy() = hier_;
-  if (ci::CiMechanism* mech = sim.ci_mechanism()) {
-    mech->stride_predictor() = stride_;
-  }
 }
 
 std::vector<uint8_t> FunctionalWarmer::serialize_state() const {
@@ -228,48 +219,96 @@ std::vector<uint8_t> FunctionalWarmer::splice_state(
   return blob;
 }
 
-void FunctionalWarmer::deserialize_state(const std::vector<uint8_t>& blob) {
+namespace {
+/// Checks a warm-state blob's magic, version and policy byte and returns a
+/// reader over the component sections that follow.
+util::ByteReader open_warm_blob(const std::vector<uint8_t>& blob,
+                                core::Policy policy, const char* who) {
   constexpr size_t kPolicyAt = sizeof(kWarmStateMagic);
   if (blob.size() <= kPolicyAt) {
-    throw CorruptFileError("FunctionalWarmer: truncated warm-state blob");
+    throw CorruptFileError(std::string(who) + ": truncated warm-state blob");
   }
   if (std::memcmp(blob.data(), kWarmStateMagic, 3) != 0) {
-    throw BadMagicError("FunctionalWarmer: not a warm-state blob");
+    throw BadMagicError(std::string(who) + ": not a warm-state blob");
   }
   if (blob[3] != static_cast<uint8_t>(kWarmStateMagic[3])) {
     throw VersionError(
-        "FunctionalWarmer: warm-state blob version 'WRM" +
+        std::string(who) + ": warm-state blob version 'WRM" +
         std::string(1, static_cast<char>(blob[3])) +
         "' is not the current 'WRM2' — re-run `trace_tool plan` to "
         "regenerate the warm state");
   }
-  if (blob[kPolicyAt] != static_cast<uint8_t>(policy_)) {
-    throw ConfigMismatchError("FunctionalWarmer: warm-state policy mismatch");
+  if (blob[kPolicyAt] != static_cast<uint8_t>(policy)) {
+    throw ConfigMismatchError(std::string(who) +
+                              ": warm-state policy mismatch");
   }
+  return util::ByteReader(blob.data() + kPolicyAt + 1,
+                          blob.size() - kPolicyAt - 1);
+}
+
+/// Runs `read` over the component sections and maps its failures onto the
+/// typed errors: a geometry mismatch is ConfigMismatchError, a short or
+/// malformed section or trailing bytes are CorruptFileError.
+template <typename Read>
+void read_warm_sections(util::ByteReader& in, const char* who, Read&& read) {
+  try {
+    read(in);
+  } catch (const util::WarmGeometryError& e) {
+    throw ConfigMismatchError(std::string(who) + ": " + e.what());
+  } catch (const std::runtime_error& e) {
+    // ByteReader underflow or a sparse-table structure violation.
+    throw CorruptFileError(std::string(who) +
+                           ": corrupt warm-state blob: " + e.what());
+  }
+  if (!in.done()) {
+    throw CorruptFileError(std::string(who) + ": trailing warm-state bytes");
+  }
+}
+}  // namespace
+
+void FunctionalWarmer::deserialize_state(const std::vector<uint8_t>& blob) {
+  util::ByteReader in = open_warm_blob(blob, policy_, "FunctionalWarmer");
   // Drop any live engine: it sits at the pre-restore position, and the
   // next advance_to() must resume from warmed_ (ensure_engine fast-skips
   // the restored prefix).
   engine_.reset();
   engine_mem_.reset();
-  util::ByteReader in(blob.data() + kPolicyAt + 1, blob.size() - kPolicyAt - 1);
-  try {
-    warmed_ = in.u64();
-    last_fetch_line_ = in.u64();
-    gshare_.deserialize(in);
-    mbs_.deserialize(in);
-    ras_.deserialize(in);
-    stride_.deserialize(in);
-    hier_.deserialize(in);
-  } catch (const util::WarmGeometryError& e) {
-    throw ConfigMismatchError(std::string("FunctionalWarmer: ") + e.what());
-  } catch (const std::runtime_error& e) {
-    // ByteReader underflow or a sparse-table structure violation.
-    throw CorruptFileError(
-        std::string("FunctionalWarmer: corrupt warm-state blob: ") + e.what());
-  }
-  if (!in.done()) {
-    throw CorruptFileError("FunctionalWarmer: trailing warm-state bytes");
-  }
+  read_warm_sections(in, "FunctionalWarmer", [&](util::ByteReader& r) {
+    warmed_ = r.u64();
+    last_fetch_line_ = r.u64();
+    gshare_.deserialize(r);
+    mbs_.deserialize(r);
+    ras_.deserialize(r);
+    stride_.deserialize(r);
+    hier_.deserialize(r);
+  });
+}
+
+void install_warm_state(const std::vector<uint8_t>& blob,
+                        sim::Simulator& sim) {
+  core::Core& core = sim.core();
+  const core::CoreConfig& config = core.config();
+  util::ByteReader in = open_warm_blob(blob, config.policy,
+                                       "install_warm_state");
+  ci::CiMechanism* mech = sim.ci_mechanism();
+  read_warm_sections(in, "install_warm_state", [&](util::ByteReader& r) {
+    // The stream position and the warmer's fetch-line filter describe the
+    // warmer, not the core: the unit's checkpoint fixes where it starts.
+    (void)r.u64();
+    (void)r.u64();
+    core.gshare().deserialize(r);
+    core.mbs().deserialize(r);
+    core.ras().deserialize(r);
+    if (mech != nullptr) {
+      mech->stride_predictor().deserialize(r);
+    } else {
+      // A policy without a CI mechanism has no stride predictor to warm;
+      // its section is still read through one so it is checked the same.
+      ci::StridePredictor unused(config.stride_sets, config.stride_ways);
+      unused.deserialize(r);
+    }
+    core.hierarchy().deserialize(r);
+  });
 }
 
 std::vector<std::vector<uint8_t>> capture_warm_states(
@@ -341,12 +380,17 @@ class GridWarmer {
     }
   }
 
-  void on_record(const TraceRecord& rec) {
+  /// Trains every group on `n` consecutive records. Groups are
+  /// independent, so each takes the whole span in turn while it is hot.
+  void on_span(const TraceRecord* span, size_t n) {
     for (const auto& group : groups_) {
-      group->warmer.on_record(rec);
-      if (rec.kind != RecordKind::kLoad) continue;
-      for (Lane& lane : group->lanes) {
-        train_stride(lane.stride, lane.policy, rec.pc, rec.addr);
+      for (size_t i = 0; i < n; ++i) {
+        const TraceRecord& rec = span[i];
+        group->warmer.on_record(rec);
+        if (rec.kind != RecordKind::kLoad) continue;
+        for (Lane& lane : group->lanes) {
+          train_stride(lane.stride, lane.policy, rec.pc, rec.addr);
+        }
       }
     }
   }
@@ -429,8 +473,15 @@ std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
     mem::MainMemory memory;
     isa::load_data_image(program, memory);
     isa::FunctionalEngine engine(program, memory);
+    std::array<TraceRecord, kTraceSpanRecords> span;
     engine.set_sink([&](uint64_t, const isa::StepEvent* ev, size_t n) {
-      for (size_t i = 0; i < n; ++i) grid.on_record(to_trace_record(ev[i]));
+      while (n > 0) {
+        const size_t m = std::min(n, span.size());
+        for (size_t i = 0; i < m; ++i) span[i] = to_trace_record(ev[i]);
+        grid.on_span(span.data(), m);
+        ev += m;
+        n -= m;
+      }
     });
     for (const uint64_t target : targets) {
       engine.run_to(target);
@@ -449,14 +500,13 @@ std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
     // reader only decodes the blocks covering [0, last target).
     reader.seek_to(0);
     uint64_t pos = 0;
-    TraceRecord rec;
     for (size_t t = 0; t < targets.size(); ++t) {
       while (pos < targets[t]) {
-        if (!reader.next(rec)) {
-          throw_trace_truncated(pos, targets[t], t, targets.size());
-        }
-        grid.on_record(rec);
-        ++pos;
+        const TraceRecord* span = nullptr;
+        const size_t n = reader.read_span(span, targets[t] - pos);
+        if (n == 0) throw_trace_truncated(pos, targets[t], t, targets.size());
+        grid.on_span(span, n);
+        pos += n;
       }
       grid.snapshot();
     }

@@ -11,11 +11,12 @@
 // CoreConfig as the detailed core. Streaming a committed prefix through
 // on_record() reproduces, component by component, exactly the state a
 // detailed run's commit-path training leaves behind (tests/
-// test_functional_warming.cpp locks this in per component); apply_to()
-// then copies that state into a freshly constructed Simulator before its
-// first cycle. Warm state also serializes to an opaque blob, written as a
-// per-(interval, config) warm sidecar (trace/manifest.hpp), so warmed
-// intervals stay shardable across machines.
+// test_functional_warming.cpp locks this in per component). Warm state
+// travels as an opaque serialized blob — captured for a whole config grid
+// at once, optionally written as a per-(interval, config) warm sidecar
+// (trace/manifest.hpp) so warmed intervals stay shardable across
+// machines — and install_warm_state() loads it into a freshly constructed
+// Simulator before its first cycle.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +52,9 @@ enum class WarmMode : uint8_t {
 };
 
 [[nodiscard]] const char* warm_mode_name(WarmMode mode);
-/// Parses "none" | "detailed" | "functional" | "hybrid"; throws on typos so
-/// a misspelled knob fails loudly instead of silently running cold.
+/// Parses "none" | "detailed" | "functional" | "hybrid"; throws on anything
+/// else, the empty string included, so a misspelled or blank flag fails
+/// loudly instead of silently picking a mode.
 [[nodiscard]] WarmMode parse_warm_mode(std::string_view name);
 
 /// True when `mode` runs a detailed warm-up slice before the measured
@@ -110,13 +112,9 @@ class FunctionalWarmer {
   /// Committed instructions warmed so far.
   [[nodiscard]] uint64_t warmed() const { return warmed_; }
 
-  /// Copies the warm component state into `sim` (which must be freshly
-  /// constructed from the same CoreConfig and not yet run). The stride
-  /// predictor transfers only when the policy has a CiMechanism.
-  void apply_to(sim::Simulator& sim) const;
-
   /// Opaque warm-state blob (components + a geometry signature + position).
-  /// deserialize() rejects blobs from differently configured warmers.
+  /// deserialize_state() rejects blobs from differently configured warmers
+  /// with the typed errors install_warm_state() documents.
   [[nodiscard]] std::vector<uint8_t> serialize_state() const;
   void deserialize_state(const std::vector<uint8_t>& blob);
 
@@ -163,6 +161,20 @@ class FunctionalWarmer {
   std::unique_ptr<isa::FunctionalEngine> engine_;
   void ensure_engine();
 };
+
+/// Installs a serialized warm-state blob straight into `sim`'s components
+/// — gshare, MBS, RAS, the cache hierarchy and, when the policy has a
+/// CiMechanism, its stride predictor — without building a FunctionalWarmer
+/// (and its whole cache hierarchy) per unit. `sim` must be freshly
+/// constructed and not yet run; the blob must come from a warmer of the
+/// same policy and geometry as `sim`'s config. Errors are typed like
+/// FunctionalWarmer::deserialize_state: BadMagicError (not a warm blob),
+/// VersionError (an older "WRM?" generation), ConfigMismatchError (policy
+/// or geometry differs), CorruptFileError (truncated, malformed or
+/// trailing bytes). A failed install leaves `sim` partly warmed; callers
+/// discard it.
+void install_warm_state(const std::vector<uint8_t>& blob,
+                        sim::Simulator& sim);
 
 /// One streaming engine pass capturing the serialized warm state at
 /// each target instruction count (`targets` must be non-decreasing —

@@ -8,7 +8,6 @@
 //    into its own wrapping ring buffer;
 //  - .cfirprog heartbeat records round-trip through to_json/parse and the
 //    parser survives torn/foreign lines (watch races the writer);
-//  - obs::log rate-limits by key so a farm of shards cannot flood stderr;
 //  - above all: simulated results are BIT-IDENTICAL with telemetry on and
 //    off. The flight recorder reads clocks and copies pointers; it never
 //    touches simulated state. This file locks that in for sampled_run.
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "helpers.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/tracer.hpp"
@@ -317,24 +315,6 @@ TEST(ObsProgress, SidecarAppendsParseableRecords) {
   EXPECT_EQ(records.front().phase, "warm");
   EXPECT_EQ(records.back().phase, "done");
   EXPECT_EQ(records.back().done, 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Rate-limited logging
-// ---------------------------------------------------------------------------
-
-TEST(ObsLog, SuppressesPastPerKeyLimit) {
-  log_reset_for_tests();
-  EXPECT_TRUE(log(LogLevel::kWarn, "obs-test-key", "first", 2));
-  EXPECT_TRUE(log(LogLevel::kWarn, "obs-test-key", "second", 2));
-  EXPECT_FALSE(log(LogLevel::kWarn, "obs-test-key", "third", 2));
-  EXPECT_FALSE(log(LogLevel::kWarn, "obs-test-key", "fourth", 2));
-  EXPECT_EQ(log_emitted("obs-test-key"), 2u);
-  EXPECT_EQ(log_seen("obs-test-key"), 4u);
-  // Independent keys have independent budgets.
-  EXPECT_TRUE(log(LogLevel::kInfo, "obs-test-other", "hello", 1));
-  EXPECT_FALSE(log(LogLevel::kInfo, "obs-test-other", "again", 1));
-  log_reset_for_tests();
 }
 
 }  // namespace

@@ -385,6 +385,13 @@ TEST(ParseShard, AcceptsValidRejectsMalformed) {
   EXPECT_THROW((void)parse_shard("a/b"), std::runtime_error);
   EXPECT_THROW((void)parse_shard("1/0"), std::runtime_error);
   EXPECT_THROW((void)parse_shard("1/2x"), std::runtime_error);
+  // Digits only on both sides: no whitespace, no sign, no empty side.
+  for (const char* bad : {" 1/2", "+1/2", "1/ 2", "1/2 ", "1/+2", "-0/2",
+                          "/2", "1/", "1/2/3", "4294967296/1"}) {
+    EXPECT_THROW((void)parse_shard(bad), std::runtime_error) << bad;
+  }
+  EXPECT_EQ(parse_shard("0/1").count, 1u);
+  EXPECT_EQ(parse_shard("007/8").index, 7u);
 }
 
 // ---------------------------------------------------------------------------

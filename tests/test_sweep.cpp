@@ -242,5 +242,30 @@ TEST(Sweep, EnvShardParsesSpec) {
   EXPECT_EQ(env_shard().count, 1u);
 }
 
+TEST(Sweep, WarmModeParsesOnlyModeNames) {
+  for (const trace::WarmMode mode :
+       {trace::WarmMode::kNone, trace::WarmMode::kDetailed,
+        trace::WarmMode::kFunctional, trace::WarmMode::kHybrid}) {
+    EXPECT_EQ(trace::parse_warm_mode(trace::warm_mode_name(mode)), mode);
+  }
+  // An empty or misspelled name is an error, never a silent default.
+  for (const char* bad : {"", "functionall", "Detailed", " none", "hybrid "}) {
+    EXPECT_THROW((void)trace::parse_warm_mode(bad), std::runtime_error)
+        << "'" << bad << "'";
+  }
+}
+
+TEST(Sweep, EnvWarmModeDefaultsOnlyWhenUnsetOrEmpty) {
+  ASSERT_EQ(unsetenv("CFIR_WARM_MODE"), 0);
+  EXPECT_EQ(env_warm_mode(), trace::WarmMode::kDetailed);
+  ASSERT_EQ(setenv("CFIR_WARM_MODE", "", 1), 0);
+  EXPECT_EQ(env_warm_mode(), trace::WarmMode::kDetailed);
+  ASSERT_EQ(setenv("CFIR_WARM_MODE", "hybrid", 1), 0);
+  EXPECT_EQ(env_warm_mode(), trace::WarmMode::kHybrid);
+  ASSERT_EQ(setenv("CFIR_WARM_MODE", "functionall", 1), 0);
+  EXPECT_THROW((void)env_warm_mode(), std::runtime_error);
+  ASSERT_EQ(unsetenv("CFIR_WARM_MODE"), 0);
+}
+
 }  // namespace
 }  // namespace cfir::sim

@@ -9,6 +9,9 @@
 //    out-of-range write (the suite runs under ASan+UBSan in CI);
 //  - typed rejection of stale WRM1 blobs (VersionError, exit code 4) in
 //    their one carrier, the .cfirwarm sidecar;
+//  - install_warm_state, the unit-side install path, leaves a Simulator's
+//    components exactly as a deserialized warmer holds them and fails
+//    with the same typed errors as FunctionalWarmer::deserialize_state;
 //  - a deterministic size guard: byte counts, never timing.
 #include <gtest/gtest.h>
 
@@ -17,7 +20,10 @@
 #include <string>
 #include <vector>
 
+#include "ci/mechanism.hpp"
 #include "sim/presets.hpp"
+#include "sim/simulator.hpp"
+#include "stats/stats.hpp"
 #include "trace/blob.hpp"
 #include "trace/errors.hpp"
 #include "trace/manifest.hpp"
@@ -330,6 +336,104 @@ TEST(WarmCodec, HeaderFailuresAreTyped) {
   EXPECT_THROW(FunctionalWarmer(sim::presets::scal(2, 256), program)
                    .deserialize_state(blob),
                ConfigMismatchError);
+}
+
+TEST(WarmInstall, MatchesDeserializedWarmerPerComponentAndRun) {
+  // install_warm_state deserializes straight into the unit's Simulator.
+  // The reference is the warmer route it replaces: deserialize_state into
+  // a standalone warmer, then copy its whole components into the core.
+  // Every policy shape: no CI mechanism (scal, wb, ci-window) and a
+  // stride predictor to warm (ci, vect).
+  const isa::Program program = workloads::build("bzip2", 1);
+  for (const core::CoreConfig& config :
+       {sim::presets::scal(2, 256), sim::presets::wb(2, 256),
+        sim::presets::ci(2, 256), sim::presets::vect(2, 256),
+        sim::presets::ci_window(2, 512)}) {
+    const std::string label = config.label();
+    FunctionalWarmer warmer(config, program);
+    warmer.advance_to(20000);
+    const std::vector<uint8_t> blob = warmer.serialize_state();
+    FunctionalWarmer restored(config, program);
+    restored.deserialize_state(blob);
+
+    sim::Simulator direct(config, program);
+    install_warm_state(blob, direct);
+    sim::Simulator copied(config, program);
+    copied.core().gshare() = restored.gshare();
+    copied.core().mbs() = restored.mbs();
+    copied.core().ras() = restored.ras();
+    copied.core().hierarchy() = restored.hierarchy();
+    ASSERT_EQ(direct.ci_mechanism() != nullptr,
+              copied.ci_mechanism() != nullptr);
+    if (copied.ci_mechanism() != nullptr) {
+      copied.ci_mechanism()->stride_predictor() = restored.stride_predictor();
+      EXPECT_EQ(direct.ci_mechanism()->stride_predictor().debug_digest(),
+                restored.stride_predictor().debug_digest())
+          << label;
+    }
+
+    core::Core& core = direct.core();
+    EXPECT_EQ(core.gshare().debug_digest(), restored.gshare().debug_digest())
+        << label;
+    EXPECT_EQ(core.mbs().debug_digest(), restored.mbs().debug_digest())
+        << label;
+    EXPECT_EQ(core.ras().debug_digest(), restored.ras().debug_digest())
+        << label;
+    EXPECT_EQ(core.hierarchy().debug_digest(),
+              restored.hierarchy().debug_digest())
+        << label;
+    EXPECT_NE(core.hierarchy().debug_digest(),
+              sim::Simulator(config, program).core().hierarchy().debug_digest())
+        << label << ": the blob warmed nothing";
+
+    // Whatever the digests do not see must agree too: the warmed runs are
+    // bit-identical.
+    ByteWriter a;
+    ByteWriter b;
+    stats::serialize(direct.run(5000), a);
+    stats::serialize(copied.run(5000), b);
+    EXPECT_EQ(a.data(), b.data()) << label;
+  }
+}
+
+TEST(WarmInstall, FailuresAreTyped) {
+  const isa::Program program = workloads::build("gzip", 1);
+  const core::CoreConfig config = sim::presets::ci(2, 256);
+  FunctionalWarmer w(config, program);
+  w.advance_to(1000);
+  const std::vector<uint8_t> blob = w.serialize_state();
+  sim::Simulator target(config, program);
+  EXPECT_NO_THROW(install_warm_state(blob, target));
+
+  std::vector<uint8_t> alien = blob;
+  alien[0] = 'X';
+  EXPECT_THROW(install_warm_state(alien, target), BadMagicError);
+  std::vector<uint8_t> wrm1 = blob;
+  wrm1[3] = '1';
+  EXPECT_THROW(install_warm_state(wrm1, target), VersionError);
+
+  // Policy and geometry mismatches.
+  sim::Simulator scal(sim::presets::scal(2, 256), program);
+  EXPECT_THROW(install_warm_state(blob, scal), ConfigMismatchError);
+  core::CoreConfig small = config;
+  small.gshare_entries = 1024;
+  sim::Simulator small_sim(small, program);
+  EXPECT_THROW(install_warm_state(blob, small_sim), ConfigMismatchError);
+  core::CoreConfig small_stride = config;
+  small_stride.stride_sets = 64;
+  sim::Simulator stride_sim(small_stride, program);
+  EXPECT_THROW(install_warm_state(blob, stride_sim), ConfigMismatchError);
+
+  // Truncated at every byte offset, and one trailing byte.
+  for (size_t len = 0; len < blob.size(); ++len) {
+    const std::vector<uint8_t> cut(
+        blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_THROW(install_warm_state(cut, target), CorruptFileError)
+        << "truncated at " << len << " of " << blob.size();
+  }
+  std::vector<uint8_t> trailing = blob;
+  trailing.push_back(0);
+  EXPECT_THROW(install_warm_state(trailing, target), CorruptFileError);
 }
 
 /// A manifest path in the test temp dir; every artifact the manifest in
