@@ -1,12 +1,12 @@
 // Functional-warming throughput: shared grid capture
 // (capture_warm_states_grid — one commit-path trainer per warm geometry
 // plus one stride lane per stride-training policy) versus warming the same
-// grid config by config with solo FunctionalWarmers, both trace-fed from a
-// recorded CFIRTRC2 file — the shape the shard runner's warm-gap pass
-// uses. Three grid widths:
+// grid config by config with one single-config grid capture each, both
+// trace-fed from a recorded CFIRTRC2 file — the route the shard runner's
+// warm-gap pass takes. Three grid widths:
 //
-//   1-config   ci:2:512 alone: shared capture is a solo warmer plus one
-//              lane, so the two columns should match
+//   1-config   ci:2:512 alone: shared and solo run the same capture, so
+//              the two columns should match
 //   3-config   wb/ci/vect :2:256, one warm geometry, three policies
 //   8-config   scal/wb/ci at 256 and 512 registers, ci-iw and vect: still
 //              one warm geometry, two stride lanes
@@ -84,20 +84,16 @@ Cell best_of(const std::string& trace_path, int repeats, Blobs& blobs,
   return cell;
 }
 
-/// Warms the grid config by config: one solo FunctionalWarmer pass over
+/// Warms the grid config by config: one single-config capture pass over
 /// the trace per config, the cost shared capture amortizes.
 Blobs solo_captures(const std::vector<core::CoreConfig>& configs,
                     const isa::Program& program, trace::TraceReader& reader,
                     const std::vector<uint64_t>& targets) {
   Blobs out;
   for (const core::CoreConfig& config : configs) {
-    trace::FunctionalWarmer warmer(config, program);
-    std::vector<std::vector<uint8_t>> per_target;
-    for (const uint64_t target : targets) {
-      warmer.advance_on_trace(reader, target);
-      per_target.push_back(warmer.serialize_state());
-    }
-    out.push_back(std::move(per_target));
+    out.push_back(std::move(
+        trace::capture_warm_states_grid({config}, program, reader, targets)
+            .front()));
   }
   return out;
 }
@@ -149,8 +145,7 @@ int main() {
   trace::TraceMeta meta;
   meta.workload = workload;
   meta.scale = scale;
-  trace::record_interpreter(program, path, meta, cap,
-                            trace::TraceFormat::kV2);
+  trace::record_interpreter(program, path, meta, cap);
 
   uint64_t total = 0;
   {
@@ -225,8 +220,7 @@ int main() {
     trace::TraceMeta m;
     m.workload = name;
     m.scale = prog_scale;
-    trace::record_interpreter(prog, trace_path, m, 2'560'000,
-                              trace::TraceFormat::kV2);
+    trace::record_interpreter(prog, trace_path, m, 2'560'000);
     uint64_t records = 0;
     {
       trace::TraceReader reader(trace_path);

@@ -130,8 +130,6 @@ int usage() {
       "env: CFIR_TRACE_DIR (output dir), CFIR_THREADS (sample/run-shard),\n"
       "     CFIR_ENGINE=cached|switch (functional engine for record/plan/\n"
       "     warming passes; identical output bytes, cached is ~3-4x faster),\n"
-      "     CFIR_TRACE_FORMAT=v1|v2 (trace writer format, default v2 —\n"
-      "     columnar seekable CFIRTRC2; v1 is the row-oriented oracle),\n"
       "     CFIR_TRACE=<file> (same as --trace-out),\n"
       "     CFIR_PROGRESS=1|stderr (.cfirprog heartbeats)\n"
       "numbers: whole decimal values only (--detail=2k is a usage error)\n"
@@ -257,27 +255,25 @@ int cmd_info(int argc, char** argv) {
     if (in) file_bytes = static_cast<uint64_t>(in.tellg());
   }
   std::printf("format: v%u  file: %llu bytes  (%.3f B/inst)\n",
-              reader.format_version(),
+              trace::kTraceVersion,
               static_cast<unsigned long long>(file_bytes),
               reader.record_count() == 0
                   ? 0.0
                   : static_cast<double>(file_bytes) /
                         static_cast<double>(reader.record_count()));
-  if (reader.format_version() >= trace::kTraceVersionV2) {
-    std::printf("blocks: %zu  block_len: %u\n", reader.block_count(),
-                reader.block_len());
-    const std::array<uint64_t, trace::kTraceV2Columns> cols =
-        reader.column_bytes();
-    uint64_t payload = 0;
-    std::printf("columns:");
-    for (size_t c = 0; c < cols.size(); ++c) {
-      payload += cols[c];
-      std::printf(" %s=%llu", trace::trace_v2_column_name(c),
-                  static_cast<unsigned long long>(cols[c]));
-    }
-    std::printf("  (payload %llu bytes)\n",
-                static_cast<unsigned long long>(payload));
+  std::printf("blocks: %zu  block_len: %u\n", reader.block_count(),
+              reader.block_len());
+  const std::array<uint64_t, trace::kTraceV2Columns> cols =
+      reader.column_bytes();
+  uint64_t payload = 0;
+  std::printf("columns:");
+  for (size_t c = 0; c < cols.size(); ++c) {
+    payload += cols[c];
+    std::printf(" %s=%llu", trace::trace_v2_column_name(c),
+                static_cast<unsigned long long>(cols[c]));
   }
+  std::printf("  (payload %llu bytes)\n",
+              static_cast<unsigned long long>(payload));
 
   uint64_t branches = 0, taken = 0, loads = 0, stores = 0;
   trace::TraceRecord rec;

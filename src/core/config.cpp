@@ -63,6 +63,10 @@ CoreConfig CoreConfig::deserialize(util::ByteReader& in) {
 #define X(kind, field) CFIR_CFG_DEC_##kind(in, cfg.field)
   CFIR_CORECONFIG_FIELDS(X)
 #undef X
+  for (const mem::CacheConfig* c : {&cfg.memory.l1i, &cfg.memory.l1d,
+                                    &cfg.memory.l2, &cfg.memory.l3}) {
+    mem::check_geometry(*c);
+  }
   return cfg;
 }
 

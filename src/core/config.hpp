@@ -117,7 +117,8 @@ struct CoreConfig {
   /// embedded in a CFIRMAN2 manifest rebuilds on any machine without that
   /// machine knowing the preset it came from. deserialize() throws
   /// std::runtime_error on truncation or trailing bytes (a config from a
-  /// build with a different field set).
+  /// build with a different field set), and std::invalid_argument on a
+  /// cache geometry mem::check_geometry rejects.
   void serialize(util::ByteWriter& out) const;
   [[nodiscard]] static CoreConfig deserialize(util::ByteReader& in);
 

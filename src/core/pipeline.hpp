@@ -379,7 +379,6 @@ class Core {
   uint64_t last_commit_cycle_ = 0;
   uint64_t rename_starved_since_ = 0;
   uint32_t stores_committed_this_cycle_ = 0;
-  uint32_t commit_slots_used_ = 0;
 };
 
 }  // namespace cfir::core

@@ -1,15 +1,26 @@
 #include "mem/cache.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace cfir::mem {
 
+void check_geometry(const CacheConfig& config) {
+  const uint64_t set_bytes =
+      uint64_t{config.line_bytes} * uint64_t{config.assoc};
+  const uint64_t sets = set_bytes == 0 ? 0 : config.size_bytes / set_bytes;
+  if (sets == 0 || (sets & (sets - 1)) != 0) {
+    throw std::invalid_argument(
+        "cache " + config.name + ": " + std::to_string(config.size_bytes) +
+        " bytes, " + std::to_string(config.assoc) + "-way, " +
+        std::to_string(config.line_bytes) +
+        "-byte lines is not a power-of-two number of sets");
+  }
+}
+
 Cache::Cache(const CacheConfig& config) : config_(config) {
-  assert(config_.line_bytes > 0 && config_.assoc > 0);
+  check_geometry(config_);
   num_sets_ = config_.size_bytes / (config_.line_bytes * config_.assoc);
-  assert(num_sets_ > 0 && (num_sets_ & (num_sets_ - 1)) == 0 &&
-         "set count must be a power of two");
   lines_.assign(static_cast<size_t>(num_sets_) * config_.assoc, Line{});
 }
 

@@ -22,6 +22,13 @@ struct CacheConfig {
   uint32_t hit_latency = 1;
 };
 
+/// Throws std::invalid_argument unless `config` is a geometry the model
+/// can build: nonzero line size and associativity, and a power-of-two
+/// number of sets, at least one. Cache's constructor runs it, and so does
+/// CoreConfig::deserialize, so a geometry read from a file is rejected
+/// before any address is divided by it.
+void check_geometry(const CacheConfig& config);
+
 struct CacheStats {
   uint64_t accesses = 0;
   uint64_t hits = 0;

@@ -129,35 +129,6 @@ void append_crc_footer(const std::string& path) {
   if (!out) throw std::runtime_error("blob: write failed for " + path);
 }
 
-void verify_crc_footer(const std::string& path, const char* what) {
-  std::streamoff size = 0;
-  std::ifstream in = open_sized(path, what, size);
-  if (static_cast<uint64_t>(size) < kCrcFooterBytes) {
-    throw missing_footer(what, path);
-  }
-  const uint64_t payload_size =
-      static_cast<uint64_t>(size) - kCrcFooterBytes;
-
-  char footer[kCrcFooterBytes];
-  in.seekg(static_cast<std::streamoff>(payload_size));
-  in.read(footer, sizeof(footer));
-  if (!in) {
-    throw CorruptFileError(std::string(what) + ": read failed for " + path);
-  }
-  if (std::memcmp(footer, kCrcFooterMagic, sizeof(kCrcFooterMagic)) != 0) {
-    throw missing_footer(what, path);
-  }
-  uint32_t stored = 0;
-  std::memcpy(&stored, footer + sizeof(kCrcFooterMagic), sizeof(stored));
-
-  in.seekg(0);
-  if (stored != crc_of_stream(in, payload_size, path, what)) {
-    throw CorruptFileError(std::string(what) +
-                           ": CRC mismatch (corrupt or truncated file) in " +
-                           path);
-  }
-}
-
 void put_string(util::ByteWriter& out, const std::string& s) {
   out.u32(static_cast<uint32_t>(s.size()));
   out.bytes(reinterpret_cast<const uint8_t*>(s.data()), s.size());

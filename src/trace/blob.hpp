@@ -41,12 +41,6 @@ void write_blob_file(const std::string& path,
 /// bytes are final. Checksums in fixed-size chunks; never buffers the file.
 void append_crc_footer(const std::string& path);
 
-/// Verifies the CRC footer of `path` without returning (or buffering) the
-/// payload — for readers that stream the file themselves (TraceReader).
-/// Checksums in fixed-size chunks. A missing footer or a wrong CRC throws
-/// CorruptFileError.
-void verify_crc_footer(const std::string& path, const char* what);
-
 /// Checks the header every versioned blob payload opens with,
 ///   8-byte magic | u32 version | u32 reserved,
 /// against the one generation this build reads (`magic`, `version`), and

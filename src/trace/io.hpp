@@ -1,6 +1,6 @@
-// Shared binary I/O primitives for the trace / checkpoint file formats.
-// Both formats document "all integers little-endian"; these helpers are the
-// single place to add byte-swapping if a big-endian host ever matters.
+// Binary stream I/O primitives for the checkpoint file format, which
+// documents "all integers little-endian"; these helpers are the single
+// place to add byte-swapping if a big-endian host ever matters.
 #pragma once
 
 #include <istream>

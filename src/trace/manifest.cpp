@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
@@ -173,6 +174,9 @@ ShardManifest ShardManifest::deserialize(
     return m;
   } catch (const CorruptFileError&) {
     throw;
+  } catch (const std::invalid_argument& e) {
+    // An embedded config whose cache geometry cannot be built.
+    throw CorruptFileError(std::string("ShardManifest: ") + e.what());
   } catch (const std::exception&) {
     throw CorruptFileError("ShardManifest: truncated payload");
   }

@@ -8,40 +8,17 @@
 // re-executes the reference interpreter under trace verification, so a
 // stored trace doubles as an architectural regression artifact.
 //
-// Format, version 1 (all integers little-endian):
-//
-//   header:  magic "CFIRTRC1" | u32 version | u32 reserved
-//            | u64 record_count | u64 base_pc | u64 final_digest
-//            | 64 x u64 final architectural registers
-//            | u32 scale | u32 name_len | name bytes
-//   records: one per retired instruction —
-//            tag byte: bits 0-1 kind (0 plain, 1 branch, 2 load, 3 store)
-//                      bit  2   branch taken
-//                      bits 3-4 log2(access bytes) for loads/stores
-//            zigzag-varint pc delta from the *predicted* pc
-//              (previous pc + 4; sequential code costs 1 byte)
-//            branch: zigzag-varint delta of actual next pc from pc + 4
-//            load/store: zigzag-varint address delta from the previous
-//              memory access address
-//
-// `record_count`, `final_digest` and the final registers are patched into
-// the header by TraceWriter::finish, so a trace file is self-validating:
-// replay can check the reconstructed architectural state without re-running
-// the original simulation. finish() then appends the shared CRC-32 footer
-// (trace/blob.hpp), verified by TraceReader at open; a file without it is
-// rejected as truncated.
-//
-// Format, version 2 ("CFIRTRC2", the default writer format): the same
-// header (block capacity in the v1 reserved slot), then the record stream
-// split into fixed-capacity blocks whose fields are stored as
-// independently coded columns — each block carries the coder state it
-// starts from plus its own CRC-32 footer, and the file ends in a
-// CRC-protected block index mapping record ranges to file offsets, so
-// TraceReader::seek_to lands on a block boundary and decodes only from
-// there. Roughly 3-4x smaller than v1 and random-access; full byte-level
-// layout in docs/trace-format.md and src/trace/trace_v2.hpp. Both
-// versions load through the same TraceReader. The `CFIR_TRACE_FORMAT`
-// env knob (v1|v2) selects the default writer format.
+// Format: CFIRTRC2, a header followed by the record stream split into
+// fixed-capacity blocks whose fields are stored as independently coded
+// columns. Each block carries the coder state it starts from plus its own
+// CRC-32 footer, and the file ends in a CRC-protected block index mapping
+// record ranges to file offsets, so TraceReader::seek_to lands on a block
+// boundary and decodes only from there. `record_count`, `final_digest` and
+// the final registers are patched into the header by TraceWriter::finish,
+// so a trace file is self-validating: replay can check the reconstructed
+// architectural state without re-running the original simulation. Full
+// byte-level layout in docs/trace-format.md and src/trace/trace_v2.hpp.
+// Readers take only this generation; any other is a VersionError.
 #pragma once
 
 #include <array>
@@ -58,11 +35,8 @@
 namespace cfir::trace {
 
 inline constexpr char kTraceMagic[8] = {'C', 'F', 'I', 'R',
-                                        'T', 'R', 'C', '1'};
-inline constexpr uint32_t kTraceVersion = 1;
-inline constexpr char kTraceMagicV2[8] = {'C', 'F', 'I', 'R',
-                                          'T', 'R', 'C', '2'};
-inline constexpr uint32_t kTraceVersionV2 = 2;
+                                        'T', 'R', 'C', '2'};
+inline constexpr uint32_t kTraceVersion = 2;
 /// Default CFIRTRC2 block capacity in records. The header stores the
 /// actual value, so readers never assume it.
 inline constexpr uint32_t kTraceBlockLen = 65536;
@@ -74,20 +48,9 @@ inline constexpr size_t kTraceV2Columns = 11;
 /// still carrying it was interrupted mid-recording and is rejected.
 inline constexpr uint64_t kUnfinishedRecordCount = UINT64_MAX;
 
-/// On-disk trace format selector for writers.
-enum class TraceFormat : uint8_t {
-  kV1 = 1,  ///< row-oriented CFIRTRC1 (the oracle / legacy path)
-  kV2 = 2,  ///< columnar seekable CFIRTRC2
-};
-
-/// Writer format from `CFIR_TRACE_FORMAT` ("v1" or "v2"); unset/empty
-/// means v2. Anything else throws, so a typo cannot silently fall back.
-[[nodiscard]] TraceFormat trace_format_from_env();
-
 namespace v2 {
 struct FileView;
 class BlockDecoder;
-class BlockWriter;
 }  // namespace v2
 
 /// Directory trace files default into: CFIR_TRACE_DIR, or "." when unset.
@@ -142,54 +105,63 @@ struct TraceMeta {
   uint64_t base_pc = 0;
 };
 
+/// Streaming CFIRTRC2 writer: buffers `block_len` records, encodes and
+/// flushes them as one columnar block, and on finish() writes the block
+/// index footer, rewrites the header with the final counts, and appends
+/// the whole-file CRC footer.
 class TraceWriter {
  public:
   /// Creates/truncates `path` and writes the header (counts zeroed).
-  /// `format` defaults to the CFIR_TRACE_FORMAT knob (v2 when unset);
-  /// `block_len` is the CFIRTRC2 block capacity (0 = kTraceBlockLen,
-  /// ignored for v1).
+  /// `block_len` is the block capacity in records; 0 throws.
   TraceWriter(const std::string& path, const TraceMeta& meta,
-              TraceFormat format = trace_format_from_env(),
-              uint32_t block_len = 0);
-  ~TraceWriter();
+              uint32_t block_len = kTraceBlockLen);
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
   void append(const TraceRecord& rec);
 
   /// Patches record count, final registers and memory digest into the
-  /// header and closes the file. Idempotent.
+  /// header and closes the file. Idempotent. A writer destroyed without
+  /// finish() leaves the sentinel record count and no CRC footer, so
+  /// readers reject the file instead of reading a truncated stream.
   void finish(const std::array<uint64_t, isa::kNumLogicalRegs>& final_regs,
               uint64_t final_digest);
 
-  [[nodiscard]] uint64_t records() const { return records_; }
-  [[nodiscard]] TraceFormat format() const { return format_; }
+  [[nodiscard]] uint64_t records() const {
+    return flushed_ + pending_.size();
+  }
 
  private:
-  void put_varint(uint64_t v);
+  void flush_block();
 
-  TraceFormat format_;
-  std::unique_ptr<v2::BlockWriter> v2_;  ///< set iff format_ == kV2
   std::ofstream out_;
   std::string path_;  ///< finish() re-reads the file to append the CRC footer
-  uint64_t records_ = 0;
-  uint64_t prev_pc_ = 0;  ///< pc of the previous record
-  bool have_prev_ = false;
-  uint64_t base_pc_ = 0;
-  uint64_t last_addr_ = 0;
+  TraceMeta meta_;
+  uint32_t block_len_;
+  uint64_t flushed_ = 0;  ///< records already encoded into blocks
+  std::vector<TraceRecord> pending_;
+  /// Encoded block index entries, one per flushed block.
+  std::vector<uint8_t> index_;
   bool finished_ = false;
+
+  // Inter-block coder state, snapshotted into each block's header so the
+  // block decodes standalone.
+  uint64_t pred_pc_;
+  uint64_t load_addr_ = 0;
+  uint64_t load_delta_ = 0;
+  uint64_t store_addr_ = 0;
+  uint64_t store_delta_ = 0;
 };
 
 /// Records a TraceReader decodes per refill of its span buffer: 256 x 40 B
 /// stays well inside L1 while amortizing the per-refill bookkeeping.
 inline constexpr size_t kTraceSpanRecords = 256;
 
-/// Reads both trace formats behind one interface: the leading magic picks
-/// the codec at open. v1 streams records off disk; v2 buffers the file,
-/// validates only the header + block index, and decodes blocks on demand
-/// (each fully checked before its first record is returned), which is what
-/// makes seek_to cheap. Records arrive through a small reused span buffer,
-/// never a whole decoded block.
+/// Reads a CFIRTRC2 trace: open buffers the file and validates only the
+/// header + block index, and blocks decode on demand (each fully checked
+/// before its first record is returned), which is what makes seek_to
+/// cheap. Records arrive through a small reused span buffer, never a whole
+/// decoded block.
 class TraceReader {
  public:
   /// Opens and validates the header; throws the typed trace/errors.hpp
@@ -218,72 +190,54 @@ class TraceReader {
   /// read_span.
   bool next(TraceRecord& out);
 
-  /// On-disk format version of the open file (1 or 2).
-  [[nodiscard]] uint32_t format_version() const { return version_; }
   /// Index of the record the next next() call returns.
   [[nodiscard]] uint64_t position() const { return read_; }
 
   /// Repositions the stream so the next next() returns record
   /// `inst_index`. `inst_index == record_count()` is a valid end-of-stream
-  /// position; anything past it throws std::out_of_range. O(1) + one
-  /// block decode for v2 (lands on the covering block boundary); for v1
-  /// it falls back to sequential decode (rewinding first when behind), so
-  /// the interface stays format-agnostic.
+  /// position; anything past it throws std::out_of_range. O(1); the next
+  /// read decodes from the covering block boundary.
   void seek_to(uint64_t inst_index);
 
-  /// CFIRTRC2 block geometry: count of blocks in the file and the block
-  /// capacity from the header. A v1 file reports 0 for both.
+  /// Block geometry: count of blocks in the file and the block capacity
+  /// from the header.
   [[nodiscard]] size_t block_count() const;
   [[nodiscard]] uint32_t block_len() const;
-  /// First record index of block `b` (v2 only).
+  /// First record index of block `b`.
   [[nodiscard]] uint64_t block_first_record(size_t b) const;
-  /// Decodes the whole of block `b` (v2 only; throws on v1) with the same
-  /// checks as a span read. Pure and thread-safe — bbv_from_trace fans
-  /// block decodes out on the sim::parallel_for pool. Each call counts one
-  /// `trace.blocks_read`.
+  /// Decodes the whole of block `b` with the same checks as a span read.
+  /// Pure and thread-safe — bbv_from_trace fans block decodes out on the
+  /// sim::parallel_for pool. Each call counts one `trace.blocks_read`.
   [[nodiscard]] std::vector<TraceRecord> decode_block(size_t b) const;
   /// Per-column compressed payload bytes summed over all blocks
-  /// (trace_tool info; v2 only — zeros for v1).
+  /// (trace_tool info).
   [[nodiscard]] std::array<uint64_t, kTraceV2Columns> column_bytes() const;
 
  private:
-  [[nodiscard]] uint64_t get_varint();
-  void decode_v1(TraceRecord& out);
-  void refill_v2();
-  void drain_telemetry();
+  void refill();
 
-  std::ifstream in_;
-  std::unique_ptr<v2::FileView> v2_;  ///< set iff version_ == 2
-  uint32_t version_ = 1;
+  std::unique_ptr<v2::FileView> file_;
+  std::unique_ptr<v2::BlockDecoder> decoder_;  ///< the open block
   TraceMeta meta_;
   uint64_t record_count_ = 0;
   uint64_t final_digest_ = 0;
   std::array<uint64_t, isa::kNumLogicalRegs> final_regs_{};
   uint64_t read_ = 0;
-  std::streamoff data_start_ = 0;  ///< v1: first record byte (for rewinds)
-  uint64_t prev_pc_ = 0;
-  bool have_prev_ = false;
-  uint64_t last_addr_ = 0;
-  std::unique_ptr<v2::BlockDecoder> decoder_;  ///< v2: the open block
   /// Span buffer: records [span_first_, span_first_ + span_len_).
   std::vector<TraceRecord> span_;
   uint64_t span_first_ = 0;
   size_t span_len_ = 0;
-  int64_t open_us_ = 0;     ///< decode-throughput telemetry epoch
-  bool telemetry_done_ = false;
 };
 
 /// Runs the reference interpreter over `program` (fresh memory, data image
 /// applied), recording every retired instruction to `path`. Stops at HALT
-/// or after `max_insts`. Returns the final architectural state. `format`
-/// and `block_len` pass through to TraceWriter.
+/// or after `max_insts`. Returns the final architectural state.
+/// `block_len` passes through to TraceWriter.
 isa::InterpResult record_interpreter(const isa::Program& program,
                                      const std::string& path,
                                      const TraceMeta& meta,
                                      uint64_t max_insts = UINT64_MAX,
-                                     TraceFormat format =
-                                         trace_format_from_env(),
-                                     uint32_t block_len = 0);
+                                     uint32_t block_len = kTraceBlockLen);
 
 /// Trace-driven re-execution: replays `program` on the interpreter while
 /// verifying every retired instruction against the stored records, then

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -10,7 +11,7 @@
 #include "trace/errors.hpp"
 #include "util/crc32.hpp"
 
-namespace cfir::trace::v2 {
+namespace cfir::trace {
 
 namespace {
 
@@ -359,8 +360,9 @@ void check_varints(const uint8_t* col, size_t len, uint64_t count) {
   if (pos != len) corrupt("varint column length mismatch");
 }
 
-/// Serializes the CFIRTRC2 header (identical field layout to CFIRTRC1;
-/// the v1 reserved u32 holds the block capacity).
+/// Serializes the CFIRTRC2 header: the blob header (magic, version and a
+/// u32 that holds the block capacity), then the counts, final state and
+/// workload identity.
 std::vector<uint8_t> encode_header(const TraceMeta& meta, uint32_t block_len,
                                    uint64_t record_count,
                                    uint64_t final_digest,
@@ -368,8 +370,8 @@ std::vector<uint8_t> encode_header(const TraceMeta& meta, uint32_t block_len,
                                                     isa::kNumLogicalRegs>&
                                        final_regs) {
   std::vector<uint8_t> out;
-  out.insert(out.end(), kTraceMagicV2, kTraceMagicV2 + 8);
-  put_u32(out, kTraceVersionV2);
+  out.insert(out.end(), kTraceMagic, kTraceMagic + 8);
+  put_u32(out, kTraceVersion);
   put_u32(out, block_len);
   put_u64(out, record_count);
   put_u64(out, meta.base_pc);
@@ -387,6 +389,8 @@ std::vector<uint8_t> encode_header(const TraceMeta& meta, uint32_t block_len,
 // Reader side
 // ---------------------------------------------------------------------------
 
+namespace v2 {
+
 FileView open_file(const std::string& path) {
   FileView f;
   {
@@ -399,17 +403,11 @@ FileView open_file(const std::string& path) {
     if (!in) corrupt("short read of " + path);
   }
   const std::vector<uint8_t>& b = f.bytes;
+  (void)read_blob_header(b, kTraceMagic, kTraceVersion, "TraceReader " + path,
+                         "trace_tool record");
   constexpr size_t kFixedHeader =
       8 + 4 + 4 + 8 + 8 + 8 + 8 * isa::kNumLogicalRegs + 4 + 4;
   if (b.size() < kFixedHeader) corrupt("truncated header in " + path);
-  if (std::memcmp(b.data(), kTraceMagicV2, 8) != 0) {
-    throw BadMagicError("TraceReader: bad magic in " + path);
-  }
-  const uint32_t version = rd_u32(b.data() + 8);
-  if (version != kTraceVersionV2) {
-    throw VersionError("TraceReader: unsupported version " +
-                       std::to_string(version) + " in " + path);
-  }
   f.block_len = rd_u32(b.data() + 12);
   f.record_count = rd_u64(b.data() + 16);
   if (f.record_count == kUnfinishedRecordCount) {
@@ -496,7 +494,37 @@ FileView open_file(const std::string& path) {
   return f;
 }
 
+namespace {
+
+/// Nanoseconds since `start` on the monotonic clock.
+uint64_t ns_since(std::chrono::steady_clock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
+/// `trace.decode_us`, looked up once: the destructor observes into it and
+/// must not allocate.
+obs::Histogram& decode_us_histogram() {
+  static obs::Histogram& h =
+      obs::Registry::instance().histogram("trace.decode_us");
+  return h;
+}
+
+}  // namespace
+
+BlockDecoder::~BlockDecoder() { observe_decode_time(); }
+
+void BlockDecoder::observe_decode_time() noexcept {
+  if (!timed_) return;
+  timed_ = false;
+  decode_us_histogram().observe((decode_ns_ + 500) / 1000);
+}
+
 void BlockDecoder::open(const FileView& file, size_t b) {
+  observe_decode_time();
+  const auto start = std::chrono::steady_clock::now();
   count_ = 0;
   done_ = 0;
   if (b >= file.blocks.size()) {
@@ -608,9 +636,13 @@ void BlockDecoder::open(const FileView& file, size_t b) {
   reg.counter("trace.blocks_read").increment();
   reg.counter("trace.decode_records").add(n);
   reg.counter("trace.decode_bytes").add(avail);
+  (void)decode_us_histogram();  // first lookup here, never in the destructor
+  decode_ns_ = ns_since(start);
+  timed_ = true;
 }
 
 size_t BlockDecoder::decode(TraceRecord* out, size_t max) {
+  const auto start = std::chrono::steady_clock::now();
   const size_t n = std::min<size_t>(max, count_ - done_);
   // The cursors and coder state live in locals for the loop (the record
   // stores could otherwise alias the members and force reloads); every
@@ -689,6 +721,7 @@ size_t BlockDecoder::decode(TraceRecord* out, size_t max) {
   load_delta_ = load_delta;
   store_addr_ = store_addr;
   store_delta_ = store_delta;
+  decode_ns_ += ns_since(start);
   return n;
 }
 
@@ -711,11 +744,13 @@ std::array<uint64_t, kTraceV2Columns> column_bytes(const FileView& file) {
   return sums;
 }
 
+}  // namespace v2
+
 // ---------------------------------------------------------------------------
 // Writer side
 // ---------------------------------------------------------------------------
 
-BlockWriter::BlockWriter(const std::string& path, const TraceMeta& meta,
+TraceWriter::TraceWriter(const std::string& path, const TraceMeta& meta,
                          uint32_t block_len)
     : out_(path, std::ios::binary | std::ios::trunc),
       path_(path),
@@ -730,20 +765,19 @@ BlockWriter::BlockWriter(const std::string& path, const TraceMeta& meta,
   }
   pending_.reserve(block_len_);
   // Sentinel header; finish() rewrites it with the real counts. An
-  // unfinished file keeps the sentinel, so readers reject it exactly like
-  // an unfinished v1 trace.
+  // unfinished file keeps the sentinel, so readers reject it.
   const std::vector<uint8_t> hdr =
       encode_header(meta_, block_len_, kUnfinishedRecordCount, 0, {});
   out_.write(reinterpret_cast<const char*>(hdr.data()),
              static_cast<std::streamsize>(hdr.size()));
 }
 
-void BlockWriter::append(const TraceRecord& rec) {
+void TraceWriter::append(const TraceRecord& rec) {
   pending_.push_back(rec);
   if (pending_.size() >= block_len_) flush_block();
 }
 
-void BlockWriter::flush_block() {
+void TraceWriter::flush_block() {
   if (pending_.empty()) return;
 
   std::vector<uint8_t> block;
@@ -836,31 +870,28 @@ void BlockWriter::flush_block() {
   block.insert(block.end(), kCrcFooterMagic, kCrcFooterMagic + 4);
   put_u32(block, crc);
 
-  index_.push_back({records_, static_cast<uint64_t>(out_.tellp()),
-                    static_cast<uint32_t>(pending_.size())});
+  put_u64(index_, flushed_);
+  put_u64(index_, static_cast<uint64_t>(out_.tellp()));
+  put_u32(index_, static_cast<uint32_t>(pending_.size()));
   out_.write(reinterpret_cast<const char*>(block.data()),
              static_cast<std::streamsize>(block.size()));
-  records_ += pending_.size();
+  flushed_ += pending_.size();
   pending_.clear();
 }
 
-void BlockWriter::finish(
+void TraceWriter::finish(
     const std::array<uint64_t, isa::kNumLogicalRegs>& final_regs,
     uint64_t final_digest) {
+  if (finished_) return;
   flush_block();
   const uint64_t index_offset = static_cast<uint64_t>(out_.tellp());
 
   const std::vector<uint8_t> hdr = encode_header(
-      meta_, block_len_, records_, final_digest, final_regs);
+      meta_, block_len_, flushed_, final_digest, final_regs);
 
-  std::vector<uint8_t> idx;
-  idx.reserve(index_.size() * kIndexEntryBytes + 24);
-  for (const BlockIndexEntry& e : index_) {
-    put_u64(idx, e.first_record);
-    put_u64(idx, e.offset);
-    put_u32(idx, e.count);
-  }
-  put_u64(idx, static_cast<uint64_t>(index_.size()));
+  const uint64_t n_blocks = index_.size() / v2::kIndexEntryBytes;
+  std::vector<uint8_t> idx = std::move(index_);
+  put_u64(idx, n_blocks);
   put_u64(idx, index_offset);
   idx.insert(idx.end(), kIndexMagic, kIndexMagic + 8);
 
@@ -881,11 +912,8 @@ void BlockWriter::finish(
   // Standard whole-file footer last, so blob-level tools (read_blob_file,
   // strict-mode audits) see a well-formed CRC1 blob.
   append_crc_footer(path_);
+  finished_ = true;
 }
-
-}  // namespace cfir::trace::v2
-
-namespace cfir::trace {
 
 const char* trace_v2_column_name(size_t col) {
   static constexpr const char* kNames[kTraceV2Columns] = {

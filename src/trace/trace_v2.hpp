@@ -1,7 +1,8 @@
 // CFIRTRC2 internals: the columnar, block-compressed, seekable trace
-// codec behind the TraceWriter/TraceReader facade (trace/trace.hpp owns
-// the public API and the format constants; docs/trace-format.md has the
-// full byte-level layout).
+// codec behind TraceWriter and TraceReader (trace/trace.hpp owns the
+// public API and the format constants; trace_v2.cpp also defines
+// TraceWriter's block encoder; docs/trace-format.md has the full
+// byte-level layout).
 //
 // The committed-record stream is split into fixed-capacity blocks
 // (`block_len` records, default trace.hpp kTraceBlockLen) and each block
@@ -20,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -56,9 +56,10 @@ struct FileView {
 };
 
 /// Opens and validates `path` as CFIRTRC2. Throws BadMagicError /
-/// VersionError / CorruptFileError per the trace/errors.hpp contract;
-/// an unfinished file (sentinel record count) throws std::runtime_error
-/// exactly like the v1 reader.
+/// VersionError / CorruptFileError per the trace/errors.hpp contract (the
+/// magic and version go through read_blob_header, so a retired CFIRTRC1
+/// file is a VersionError); an unfinished file (sentinel record count)
+/// throws std::runtime_error.
 [[nodiscard]] FileView open_file(const std::string& path);
 
 /// The one CFIRTRC2 block decoder, resumable so consumers stream a block
@@ -74,10 +75,17 @@ struct FileView {
 /// validation pass already proved every read lands inside its column.
 ///
 /// Each open() counts one `trace.blocks_read` plus the block's
-/// records/bytes into the decode counters. Not thread-safe; parallel
-/// decoders each own one.
+/// records/bytes into the decode counters. The time spent inside open()
+/// and the decode() calls of one block is one `trace.decode_us`
+/// observation, made when the next block opens or the decoder is
+/// destroyed. Not thread-safe; parallel decoders each own one.
 class BlockDecoder {
  public:
+  BlockDecoder() = default;
+  ~BlockDecoder();
+  BlockDecoder(const BlockDecoder&) = delete;
+  BlockDecoder& operator=(const BlockDecoder&) = delete;
+
   /// Opens block `b` of `file` (which must outlive the decode): throws
   /// std::out_of_range past the last block and CorruptFileError on any
   /// integrity or structure failure, leaving no block open.
@@ -93,6 +101,9 @@ class BlockDecoder {
   [[nodiscard]] uint64_t position() const { return first_record_ + done_; }
 
  private:
+  /// Observes the open block's decode time, once.
+  void observe_decode_time() noexcept;
+
   /// LZ-expanded column bodies, grown on demand and reused across blocks.
   std::array<std::vector<uint8_t>, kTraceV2Columns> scratch_;
   /// Column bodies of the open block (file bytes or scratch_).
@@ -116,6 +127,10 @@ class BlockDecoder {
   uint64_t load_delta_ = 0;
   uint64_t store_addr_ = 0;
   uint64_t store_delta_ = 0;
+  /// Nanoseconds spent in open()/decode() on the open block, and whether
+  /// they still await their `trace.decode_us` observation.
+  uint64_t decode_ns_ = 0;
+  bool timed_ = false;
 };
 
 /// Decodes the whole of block `b`: BlockDecoder::open plus one decode of
@@ -129,38 +144,5 @@ class BlockDecoder {
 /// trace_v2_column_name.
 [[nodiscard]] std::array<uint64_t, kTraceV2Columns> column_bytes(
     const FileView& file);
-
-/// Streaming CFIRTRC2 writer: buffers `block_len` records, encodes and
-/// flushes them as one columnar block, and on finish() writes the index
-/// footer, rewrites the header with the final counts, and appends the
-/// whole-file CRC footer. Owned by the TraceWriter facade.
-class BlockWriter {
- public:
-  BlockWriter(const std::string& path, const TraceMeta& meta,
-              uint32_t block_len);
-
-  void append(const TraceRecord& rec);
-  void finish(const std::array<uint64_t, isa::kNumLogicalRegs>& final_regs,
-              uint64_t final_digest);
-
- private:
-  void flush_block();
-
-  std::ofstream out_;
-  std::string path_;
-  TraceMeta meta_;
-  uint32_t block_len_;
-  uint64_t records_ = 0;
-  std::vector<TraceRecord> pending_;
-  std::vector<BlockIndexEntry> index_;
-
-  // Inter-block coder state, snapshotted into each block's header so the
-  // block decodes standalone.
-  uint64_t pred_pc_;
-  uint64_t load_addr_ = 0;
-  uint64_t load_delta_ = 0;
-  uint64_t store_addr_ = 0;
-  uint64_t store_delta_ = 0;
-};
 
 }  // namespace cfir::trace::v2

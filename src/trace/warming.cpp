@@ -161,34 +161,6 @@ void FunctionalWarmer::advance_to(uint64_t n_insts) {
   engine_->run_to(n_insts);
 }
 
-void FunctionalWarmer::advance_on_trace(TraceReader& reader,
-                                        uint64_t n_insts,
-                                        std::string_view context) {
-  if (n_insts <= warmed_) return;
-  reader.seek_to(warmed_);
-  while (warmed_ < n_insts) {
-    const TraceRecord* span = nullptr;
-    const size_t n = reader.read_span(span, n_insts - warmed_);
-    if (n == 0) {
-      std::string msg =
-          "FunctionalWarmer::advance_on_trace: trace ends at " +
-          std::to_string(warmed_) + " records, warm target " +
-          std::to_string(n_insts);
-      if (!context.empty()) {
-        msg += " (";
-        msg += context;
-        msg += ")";
-      }
-      throw std::runtime_error(msg);
-    }
-    for (size_t i = 0; i < n; ++i) on_record(span[i]);  // advances warmed_
-  }
-  // A later advance_to() must resume from the new position; drop any live
-  // engine so ensure_engine() fast-skips the trace-warmed prefix.
-  engine_.reset();
-  engine_mem_.reset();
-}
-
 std::vector<uint8_t> FunctionalWarmer::serialize_state() const {
   return splice_state(policy_, serialize_shared(), serialize_stride(stride_));
 }

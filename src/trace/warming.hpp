@@ -79,9 +79,8 @@ class FunctionalWarmer {
   FunctionalWarmer(const core::CoreConfig& config, const isa::Program& program,
                    isa::EngineKind engine_kind = isa::engine_kind_from_env());
 
-  /// Feeds one committed instruction, in commit order. Callers replaying a
-  /// stored CFIRTRC1 trace drive this directly; advance_to() drives it from
-  /// the built-in functional engine.
+  /// Feeds one committed instruction, in commit order. advance_to() drives
+  /// it from the built-in functional engine; grid capture feeds it spans.
   void on_record(const TraceRecord& rec);
 
   /// Streams committed instructions from the warmer's current position up
@@ -94,20 +93,6 @@ class FunctionalWarmer {
   /// resuming a shipped warmer continues exactly where serialization
   /// stopped.
   void advance_to(uint64_t n_insts);
-
-  /// Like advance_to(), but streams the gap out of a recorded trace
-  /// instead of re-executing the program on the functional engine — on a
-  /// CFIRTRC2 file the reader seeks straight to the warmer's position and
-  /// decodes only the covering blocks, so warming cost follows the gap,
-  /// not the prefix. The record stream is identical to what advance_to
-  /// feeds itself (the recorder used the same engine events), so the
-  /// trained state — and serialize_state() blobs — stay bit-identical.
-  /// Monotonic like advance_to; `reader` must be the trace of `program`.
-  /// `context` (e.g. "interval 3 of 8") is appended to the
-  /// truncated-trace error so a shard run names which warm gap fell off
-  /// the end of the trace instead of just a bare record count.
-  void advance_on_trace(TraceReader& reader, uint64_t n_insts,
-                        std::string_view context = {});
 
   /// Committed instructions warmed so far.
   [[nodiscard]] uint64_t warmed() const { return warmed_; }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace cfir::mem {
 namespace {
 
@@ -114,6 +116,26 @@ TEST(Cache, Table1Geometry) {
   EXPECT_EQ(l2.num_sets(), 2048u);
   Cache l3(CacheConfig{"L3", 2 * 1024 * 1024, 4, 64, 18});
   EXPECT_EQ(l3.num_sets(), 8192u);
+}
+
+TEST(Cache, UnbuildableGeometryThrows) {
+  // Every geometry the set-index math cannot serve is rejected in every
+  // build type, before any address is divided by it.
+  for (const CacheConfig& bad : {
+           CacheConfig{"zero-line", 128, 2, 0, 1},
+           CacheConfig{"zero-assoc", 128, 0, 16, 1},
+           CacheConfig{"three-sets", 3 * 2 * 16, 2, 16, 1},
+           CacheConfig{"no-sets", 16, 2, 16, 1},
+           // line_bytes * assoc wraps to 0 in 32 bits.
+           CacheConfig{"wraps", 1u << 20, 1u << 16, 1u << 16, 1},
+       }) {
+    EXPECT_THROW(check_geometry(bad), std::invalid_argument) << bad.name;
+    EXPECT_THROW(Cache{bad}, std::invalid_argument) << bad.name;
+  }
+  HierarchyConfig h;
+  h.l1d.line_bytes = 0;
+  EXPECT_THROW(CacheHierarchy{h}, std::invalid_argument);
+  EXPECT_NO_THROW(check_geometry(small_cache()));
 }
 
 }  // namespace

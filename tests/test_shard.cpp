@@ -224,6 +224,23 @@ TEST(ShardManifestBlob, RetiredCfirman1IsAVersionError) {
   }
 }
 
+TEST(ShardManifestBlob, UnbuildableCacheGeometryIsCorrupt) {
+  // A CRC-valid manifest whose embedded config has a zero L1D line size:
+  // the load must fail typed (exit 6 in trace_tool), never reach a cache
+  // constructor and divide by the line size.
+  ShardManifest m = random_manifest(11);
+  m.configs.back().config.memory.l1d.line_bytes = 0;
+  TempFile file("man_zero_line");
+  m.save(file.path());
+  try {
+    (void)ShardManifest::load(file.path());
+    FAIL() << "a manifest with a zero cache line size was accepted";
+  } catch (const CorruptFileError& e) {
+    EXPECT_NE(std::string(e.what()).find("L1D"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ShardManifestBlob, FileRoundTripVerifiesCrc) {
   const ShardManifest m = random_manifest(7);
   TempFile file("man_crc");

@@ -25,6 +25,7 @@
 #include "trace/checkpoint.hpp"
 #include "trace/errors.hpp"
 #include "trace/sampling.hpp"
+#include "util/warmable.hpp"
 #include "workloads/workloads.hpp"
 
 namespace cfir::trace {
@@ -47,6 +48,12 @@ std::vector<uint8_t> file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
                               std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 std::vector<TraceRecord> capture_live(const isa::Program& program,
@@ -107,47 +114,85 @@ TEST(TraceFormat, RoundTripEqualsLiveStream) {
 }
 
 TEST(TraceFormat, CrcFooterRejectsBitFlips) {
-  // Every finished trace carries the CRC-32 footer; a single flipped
-  // payload byte must be rejected at open, before any record decodes.
+  // The index CRC covers the header, so a flipped header byte is rejected
+  // at open; a flipped block byte fails that block's CRC before any of
+  // its records decode.
   const isa::Program program = cfir::testing::figure1_program(64, 50, 5);
   TempFile file("crcflip");
   TraceMeta meta;
   meta.workload = "figure1";
-  // v1 relies on the whole-file CRC verified at open; CFIRTRC2 localizes
-  // integrity per block/index (tests/test_trace_v2.cpp), so pin to v1.
-  (void)record_interpreter(program, file.path(), meta, UINT64_MAX,
-                           TraceFormat::kV1);
-  EXPECT_NO_THROW(TraceReader{file.path()});
+  (void)record_interpreter(program, file.path(), meta);
+  const size_t n_blocks = TraceReader(file.path()).block_count();
+  const std::vector<uint8_t> good = file_bytes(file.path());
 
-  std::vector<uint8_t> bytes = file_bytes(file.path());
-  bytes[bytes.size() / 2] ^= 0x40;  // mid-stream, away from the footer
-  {
-    std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+  std::vector<uint8_t> bytes = good;
+  bytes[100] ^= 0x40;  // a final register in the header
+  write_file(file.path(), bytes);
+  try {
+    TraceReader reader(file.path());
+    FAIL() << "a flipped header byte was accepted";
+  } catch (const CorruptFileError& e) {
+    EXPECT_NE(std::string(e.what()).find("index CRC mismatch"),
+              std::string::npos)
+        << e.what();
   }
-  EXPECT_THROW(TraceReader{file.path()}, CorruptFileError);
+
+  // Blocks sit between the header (560 fixed bytes + the name) and the
+  // index (20 bytes per block + a 40-byte tail, trace_v2.hpp).
+  const size_t blocks_begin = 560 + meta.workload.size();
+  const size_t blocks_end = good.size() - 40 - 20 * n_blocks;
+  bytes = good;
+  bytes[(blocks_begin + blocks_end) / 2] ^= 0x40;
+  write_file(file.path(), bytes);
+  TraceReader reader(file.path());
+  TraceRecord rec;
+  EXPECT_THROW(reader.next(rec), CorruptFileError);
 }
 
-TEST(TraceFormat, FooterlessV1TraceIsCorrupt) {
-  // Every writer appends the CRC footer last, so a CFIRTRC1 file that ends
+TEST(TraceFormat, FooterlessTraceIsCorrupt) {
+  // Every writer appends the CRC footer last, so a trace that ends
   // without one is a copy that lost its tail — rejected at open, never
   // decoded without an integrity check.
   const isa::Program program = cfir::testing::figure1_program(64, 50, 6);
   TempFile file("nofooter");
   TraceMeta meta;
   meta.workload = "figure1";
-  (void)record_interpreter(program, file.path(), meta, UINT64_MAX,
-                           TraceFormat::kV1);
+  (void)record_interpreter(program, file.path(), meta);
 
   std::vector<uint8_t> bytes = file_bytes(file.path());
-  bytes.resize(bytes.size() - 8);  // drop "CRC1" + u32
-  {
-    std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
+  bytes.resize(bytes.size() - kCrcFooterBytes);  // drop "CRC1" + u32
+  write_file(file.path(), bytes);
   EXPECT_THROW(TraceReader{file.path()}, CorruptFileError);
+}
+
+TEST(TraceFormat, RetiredCfirtrc1IsAVersionError) {
+  // A CRC-valid file of the retired row-oriented generation: its header
+  // (magic, version 1, reserved, record count, base pc, digest, 64 final
+  // registers, scale, name) and one plain record. Readers take only the
+  // current generation and name the command that rewrites the file.
+  util::ByteWriter v1;
+  v1.bytes(reinterpret_cast<const uint8_t*>("CFIRTRC1"), 8);
+  v1.u32(1);
+  v1.u32(0);
+  v1.u64(1);
+  v1.u64(0x1000);
+  v1.u64(0);
+  for (int i = 0; i < isa::kNumLogicalRegs; ++i) v1.u64(0);
+  v1.u32(1);
+  v1.u32(4);
+  v1.bytes(reinterpret_cast<const uint8_t*>("fig1"), 4);
+  v1.u8(0);  // tag: plain record
+  v1.u8(0);  // zigzag pc delta from base_pc
+  TempFile file("trc1");
+  write_blob_file(file.path(), v1.take());
+  try {
+    TraceReader reader(file.path());
+    FAIL() << "a CFIRTRC1 trace was accepted";
+  } catch (const VersionError& e) {
+    EXPECT_NE(std::string(e.what()).find("trace_tool record"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TraceFormat, RandomProgramsRoundTrip) {
@@ -250,9 +295,7 @@ TEST(TraceFormat, FuzzRandomRecordStreamsRoundTrip) {
   // The varint/delta codec must reproduce *arbitrary* record streams, not
   // just streams the interpreter can emit: adversarial pc jumps (large
   // positive and negative deltas), address swings across the whole 64-bit
-  // space, and every kind/size combination. Both writers must survive it:
-  // the row-oriented v1 codec and the columnar CFIRTRC2 one.
-  for (const TraceFormat format : {TraceFormat::kV1, TraceFormat::kV2}) {
+  // space, and every kind/size combination.
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     std::mt19937_64 gen(seed);
     std::vector<TraceRecord> records;
@@ -286,9 +329,9 @@ TEST(TraceFormat, FuzzRandomRecordStreamsRoundTrip) {
     TraceMeta meta;
     meta.workload = "fuzz";
     meta.base_pc = records.front().pc;
-    // A deliberately odd, small block capacity so the v2 stream spans
-    // several blocks with ragged coder-base snapshots (v1 ignores it).
-    TraceWriter writer(file.path(), meta, format, 257);
+    // A deliberately odd, small block capacity so the stream spans
+    // several blocks with ragged coder-base snapshots.
+    TraceWriter writer(file.path(), meta, 257);
     for (const TraceRecord& rec : records) writer.append(rec);
     std::array<uint64_t, isa::kNumLogicalRegs> regs{};
     for (auto& r : regs) r = gen();
@@ -305,7 +348,6 @@ TEST(TraceFormat, FuzzRandomRecordStreamsRoundTrip) {
       ASSERT_EQ(rec, records[i]) << "seed " << seed << " record " << i;
     }
     EXPECT_FALSE(reader.next(rec));
-  }
   }
 }
 
@@ -326,12 +368,6 @@ Checkpoint random_checkpoint(uint64_t seed) {
     ck.memory.write_block(base, page.data(), page.size());
   }
   return ck;
-}
-
-void write_file(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
 }
 }  // namespace
 

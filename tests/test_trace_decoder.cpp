@@ -3,8 +3,7 @@
 //
 //  - over random programs, block lengths, chunk sizes and seek points,
 //    BlockDecoder chunks, TraceReader::read_span and next() all yield
-//    exactly the records decode_block does (v1 files through the same
-//    span interface);
+//    exactly the records decode_block does;
 //  - a block whose CRC is valid but one of whose columns is one byte
 //    short or one byte long is rejected — CorruptFileError — before the
 //    first span of that block is returned, while every earlier block still
@@ -95,8 +94,7 @@ TEST(TraceDecoder, SpansNextAndChunksMatchDecodeBlock) {
     TempFile file("prop" + std::to_string(seed));
     TraceMeta meta;
     meta.workload = "random";
-    record_interpreter(program, file.path(), meta, UINT64_MAX,
-                       TraceFormat::kV2, block_len);
+    record_interpreter(program, file.path(), meta, UINT64_MAX, block_len);
 
     TraceReader reader(file.path());
     const std::vector<TraceRecord> all = all_by_blocks(reader);
@@ -156,30 +154,6 @@ TEST(TraceDecoder, SpansNextAndChunksMatchDecodeBlock) {
     }
     EXPECT_EQ(reader.read_span(span, 0), size_t{0});
   }
-}
-
-TEST(TraceDecoder, V1SpansMatchNext) {
-  const isa::Program program = cfir::testing::figure1_program(256, 50, 7);
-  TempFile file("v1");
-  TraceMeta meta;
-  meta.workload = "figure1";
-  record_interpreter(program, file.path(), meta, UINT64_MAX,
-                     TraceFormat::kV1);
-  std::vector<TraceRecord> all;
-  {
-    TraceReader reader(file.path());
-    TraceRecord rec;
-    while (reader.next(rec)) all.push_back(rec);
-  }
-  ASSERT_GT(all.size(), kTraceSpanRecords);
-  std::mt19937_64 gen(99);
-  TraceReader reader(file.path());
-  EXPECT_EQ(read_spans(reader, all.size(), gen), all);
-  const uint64_t back = all.size() / 3;
-  reader.seek_to(back);
-  EXPECT_EQ(read_spans(reader, all.size() - back, gen),
-            std::vector<TraceRecord>(
-                all.begin() + static_cast<std::ptrdiff_t>(back), all.end()));
 }
 
 /// A CFIRTRC2 file taken apart into header, blocks and index, so a test
@@ -283,8 +257,7 @@ TEST(TraceDecoder, ColumnOneByteOffIsRejectedBeforeTheBlocksFirstSpan) {
   TempFile file("column");
   TraceMeta meta;
   meta.workload = "figure1";
-  record_interpreter(program, file.path(), meta, UINT64_MAX,
-                     TraceFormat::kV2, 61);
+  record_interpreter(program, file.path(), meta, UINT64_MAX, 61);
   const std::vector<uint8_t> good = file_bytes(file.path());
   std::vector<TraceRecord> all;
   {

@@ -5,13 +5,11 @@
 // must equal the solo FunctionalWarmer oracle — capture_warm_states under
 // that config alone — for a mixed grid of all six preset families plus a
 // second cache geometry, fed from every source: the engine pass, a
-// CFIRTRC1 trace, a CFIRTRC2 trace and a 4-record tiny-block CFIRTRC2
-// trace. Also locked here:
+// recorded trace and a 4-record tiny-block trace. Also locked here:
 //
 //  - an engine source that halts before the last target snapshots the
 //    tail at the final state, like the solo oracle;
-//  - truncated traces name the offending warm target and interval, both
-//    in FunctionalWarmer::advance_on_trace and in the grid capture;
+//  - truncated traces name the offending warm target and interval;
 //  - the trainer / stride-lane counts a grid builds (a deterministic
 //    guard: a grouping regression re-inflates warming cost per config);
 //  - run_shard grids byte-equal whether warm state comes from sidecar
@@ -113,17 +111,11 @@ std::vector<ConfigBinding> bindings_for(
 
 TEST(WarmingPipeline, GridBlobsMatchSoloOracleAcrossSources) {
   const isa::Program program = cfir::testing::figure1_program(512);
-  TempFile v1("v1"), v2("v2");
+  TempFile file("trace");
   TraceMeta meta;
   meta.workload = "figure1";
-  const isa::InterpResult r1 =
-      record_interpreter(program, v1.path(), meta, UINT64_MAX,
-                         TraceFormat::kV1);
-  const isa::InterpResult r2 =
-      record_interpreter(program, v2.path(), meta, UINT64_MAX,
-                         TraceFormat::kV2);
-  ASSERT_EQ(r1.executed, r2.executed);
-  const uint64_t total = r1.executed;
+  const uint64_t total =
+      record_interpreter(program, file.path(), meta).executed;
 
   const std::vector<core::CoreConfig> configs = mixed_grid();
   // Targets at 0 (cold snapshot before any record), back to back
@@ -143,10 +135,8 @@ TEST(WarmingPipeline, GridBlobsMatchSoloOracleAcrossSources) {
 
   EXPECT_EQ(oracle, capture_warm_states_grid(configs, program, targets))
       << "engine";
-  EXPECT_EQ(oracle, capture_from(v1.path(), configs, program, targets))
-      << "CFIRTRC1";
-  EXPECT_EQ(oracle, capture_from(v2.path(), configs, program, targets))
-      << "CFIRTRC2";
+  EXPECT_EQ(oracle, capture_from(file.path(), configs, program, targets))
+      << "trace";
 }
 
 TEST(WarmingPipeline, EngineHaltBeforeLastTargetMatchesSequential) {
@@ -171,8 +161,7 @@ TEST(WarmingPipeline, TinyBlockStress) {
   TraceMeta meta;
   meta.workload = "figure1";
   const isa::InterpResult r = record_interpreter(
-      program, tiny.path(), meta, UINT64_MAX, TraceFormat::kV2,
-      /*block_len=*/4);
+      program, tiny.path(), meta, UINT64_MAX, /*block_len=*/4);
   const uint64_t total = r.executed;
   ASSERT_GT(total, uint64_t{16});
   {
@@ -192,8 +181,7 @@ TEST(WarmingPipeline, TruncatedTraceErrorNamesTargetAndInterval) {
   TempFile cut("cut");
   TraceMeta meta;
   meta.workload = "figure1";
-  record_interpreter(program, cut.path(), meta, /*max_insts=*/100,
-                     TraceFormat::kV2);
+  record_interpreter(program, cut.path(), meta, /*max_insts=*/100);
   const std::vector<core::CoreConfig> configs = {sim::presets::ci(2, 256)};
   const std::vector<uint64_t> targets = {50, 150};
   try {
@@ -205,27 +193,6 @@ TEST(WarmingPipeline, TruncatedTraceErrorNamesTargetAndInterval) {
         << msg;
     EXPECT_NE(msg.find("warm target 150"), std::string::npos) << msg;
     EXPECT_NE(msg.find("(interval 1 of 2)"), std::string::npos) << msg;
-  }
-}
-
-TEST(WarmingPipeline, AdvanceOnTraceErrorCarriesContext) {
-  const isa::Program program = cfir::testing::figure1_program(512);
-  TempFile cut("adv");
-  TraceMeta meta;
-  meta.workload = "figure1";
-  record_interpreter(program, cut.path(), meta, /*max_insts=*/100,
-                     TraceFormat::kV2);
-  FunctionalWarmer warmer(sim::presets::ci(2, 256), program);
-  TraceReader reader(cut.path());
-  try {
-    warmer.advance_on_trace(reader, 150, "interval 3 of 8");
-    FAIL() << "truncated trace accepted";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("trace ends at 100 records"), std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find("warm target 150"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("(interval 3 of 8)"), std::string::npos) << msg;
   }
 }
 
@@ -271,8 +238,7 @@ TEST(WarmingPipeline, RunShardGridBitIdenticalAcrossSources) {
   TempFile file("shard");
   TraceMeta meta;
   meta.workload = "figure1";
-  record_interpreter(program, file.path(), meta, UINT64_MAX,
-                     TraceFormat::kV2);
+  record_interpreter(program, file.path(), meta);
 
   const IntervalPlan plan =
       plan_intervals(program, 4, 0, 0, WarmMode::kFunctional, 500);
@@ -305,8 +271,7 @@ TEST(WarmingPipelineS8, GridMatrixOnBzip2) {
   TraceMeta meta;
   meta.workload = "bzip2";
   meta.scale = 8;
-  record_interpreter(program, file.path(), meta, /*max_insts=*/200'000,
-                     TraceFormat::kV2);
+  record_interpreter(program, file.path(), meta, /*max_insts=*/200'000);
   uint64_t total = 0;
   {
     TraceReader reader(file.path());
